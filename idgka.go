@@ -105,12 +105,14 @@ type Config struct {
 	// specifies.
 	StrictNonceRefresh bool
 	// Precompute builds fixed-base tables for the group generator and the
-	// member's identity key at creation, accelerating every keying round.
-	// Mathematically transparent: keys, traffic and operation meters are
-	// unchanged. The generator table attaches to the process-shared
+	// member's identity key at creation, accelerating every z_i = g^r and
+	// every GQ response. That is its only effect: the key arithmetic is
+	// the same with it on or off, and keys, traffic and operation meters
+	// are unchanged. The generator table attaches to the process-shared
 	// parameter set, so once any member precomputes, every member of the
 	// process gets the (bit-identical, faster) table path for g^x; the
-	// identity-key table is per member.
+	// identity-key table is per member and costs 27 × 64 residues of the
+	// RSA modulus (about 220 KB at 1024 bits).
 	Precompute bool
 	// VerifyWorkers bounds the worker pool that verifies independent
 	// incoming contributions concurrently (0 or 1 = sequential, the

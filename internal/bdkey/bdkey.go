@@ -49,39 +49,6 @@ func XFromPowers(a, b, m *big.Int) (*big.Int, error) {
 	return x.Mod(x, m), nil
 }
 
-// XValuesBatch computes every ring member's X value in one call with a
-// single modular inversion: the z_prev inverses all come from one
-// Montgomery-trick batch inversion instead of n independent extended
-// GCDs. zs and rs are the ring-ordered public values and secret
-// exponents. Drivers that materialize whole rings (benchmarks, tests, the
-// lockstep flows' white-box checks) use this to drop the inversion count
-// from O(n) to O(1); the values are bit-identical to per-member XValue.
-func XValuesBatch(zs, rs []*big.Int, m *big.Int) ([]*big.Int, error) {
-	n := len(zs)
-	if n == 0 || n != len(rs) {
-		return nil, errors.New("bdkey: ring size mismatch")
-	}
-	mo, err := mathx.NewModulus(m)
-	if err != nil {
-		return nil, err
-	}
-	prevs := make([]*big.Int, n)
-	for i := range zs {
-		prevs[i] = zs[(i-1+n)%n]
-	}
-	invs, err := mo.BatchInverse(prevs)
-	if err != nil {
-		return nil, fmt.Errorf("bdkey: z_prev not invertible: %w", err)
-	}
-	xs := make([]*big.Int, n)
-	for i := range zs {
-		base := new(big.Int).Mul(zs[(i+1)%n], invs[i])
-		base.Mod(base, m)
-		xs[i] = new(big.Int).Exp(base, rs[i], m)
-	}
-	return xs, nil
-}
-
 // CheckLemma1 verifies Π X_i ≡ 1 (mod m) — the paper's integrity check on
 // the round-2 values. The order of xs is irrelevant.
 func CheckLemma1(xs []*big.Int, m *big.Int) error {
@@ -128,37 +95,6 @@ func Key(i int, r, zPrev *big.Int, xs []*big.Int, m *big.Int) (*big.Int, error) 
 		k.Mod(k, m)
 	}
 	return k, nil
-}
-
-// KeyMultiExp computes exactly the same group key as Key, folding the
-// n-1 small-exponent factors X_{i+j}^{n-1-j} into one interleaved
-// multi-exponentiation (their exponents are bounded by the ring size, so
-// the shared squaring chain is only ~log2(n) deep). The dominant
-// z_{i-1}^{n·r_i} term keeps the library exponentiation, which is faster
-// for full-width exponents. Part of the acceleration layer; the result
-// is bit-identical to Key.
-func KeyMultiExp(i int, r, zPrev *big.Int, xs []*big.Int, m *big.Int) (*big.Int, error) {
-	n := len(xs)
-	if n == 0 {
-		return nil, errors.New("bdkey: empty ring")
-	}
-	if i < 0 || i >= n {
-		return nil, fmt.Errorf("bdkey: index %d out of ring of %d", i, n)
-	}
-	e := new(big.Int).Mul(big.NewInt(int64(n)), r)
-	k := new(big.Int).Exp(zPrev, e, m)
-	bases := make([]*big.Int, 0, n-1)
-	exps := make([]*big.Int, 0, n-1)
-	for j := 0; j < n-1; j++ {
-		bases = append(bases, xs[(i+j)%n])
-		exps = append(exps, big.NewInt(int64(n-1-j)))
-	}
-	chain, err := mathx.MultiExp(bases, exps, m)
-	if err != nil {
-		return nil, err
-	}
-	k.Mul(k, chain)
-	return k.Mod(k, m), nil
 }
 
 // KeyFromEdgeMont computes member i's group key (equation 3) from the

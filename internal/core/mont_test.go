@@ -7,11 +7,13 @@ import (
 	"math/big"
 	"testing"
 
+	"idgka/internal/bdkey"
 	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
 	"idgka/internal/params"
 	"idgka/internal/sigs/gq"
+	"idgka/internal/wire"
 )
 
 // montCtrReader is a deterministic randomness stream (SHA-256 in counter
@@ -42,14 +44,83 @@ func (r *montCtrReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// xTap is a netsim.Network that also records the X value of every
+// round-2 broadcast (initial and Leave/Partition flows), so the tests can
+// recompute each member's key with the paper-literal bdkey.Key.
+type xTap struct {
+	*netsim.Network
+	xs map[string]*big.Int
+}
+
+func newXTap() *xTap { return &xTap{Network: netsim.New(), xs: map[string]*big.Int{}} }
+
+func (n *xTap) BroadcastState(from, typ string, payload []byte, stateLen int) error {
+	if typ == engine.MsgRound2 || typ == engine.MsgLeave2 {
+		// Lockstep flows run unenveloped: m'_i = U_i ‖ X_i ‖ s_i.
+		r := wire.NewReader(payload)
+		_ = r.String() // U_i
+		n.xs[from] = r.Big()
+	}
+	return n.Network.BroadcastState(from, typ, payload, stateLen)
+}
+
+// assertPaperKey checks the members' committed key against the paper's
+// formulas: equation (3) in its closed form g^{Σ r_i r_{i+1}} over the
+// exponents the members committed (bdkey.DirectKey), and — when the flow
+// was a BD ring and its X values were recorded — every member's
+// bdkey.Key recomputed from its committed z view and those X values.
+func assertPaperKey(t *testing.T, members []*Member, xs map[string]*big.Int, what string) {
+	t.Helper()
+	sg := params.Default().Schnorr
+	byID := map[string]*Member{}
+	for _, mb := range members {
+		byID[mb.ID()] = mb
+	}
+	roster := members[0].Session().Roster
+	if len(roster) != len(members) {
+		t.Fatalf("%s: roster of %d for %d members", what, len(roster), len(members))
+	}
+	rs := make([]*big.Int, len(roster))
+	for i, id := range roster {
+		rs[i] = byID[id].Session().R
+	}
+	key := members[0].Key()
+	if key.Cmp(bdkey.DirectKey(sg.G, rs, sg.Q, sg.P)) != 0 {
+		t.Fatalf("%s: committed key is not g^{Σ r_i r_(i+1)}", what)
+	}
+	if xs == nil {
+		return
+	}
+	ring := make([]*big.Int, len(roster))
+	for i, id := range roster {
+		if ring[i] = xs[id]; ring[i] == nil {
+			t.Fatalf("%s: no round-2 X recorded for %s", what, id)
+		}
+	}
+	n := len(roster)
+	for i, id := range roster {
+		s := byID[id].Session()
+		k, err := bdkey.Key(i, s.R, s.Z[roster[(i-1+n)%n]], ring, sg.P)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if k.Cmp(key) != 0 {
+			t.Fatalf("%s: %s's key differs from bdkey.Key over the recorded X values", what, id)
+		}
+	}
+}
+
 // runFiveFlows drives all five protocol flows — initial, join, leave,
 // merge, partition — with the given acceleration config and per-member
 // deterministic randomness, running the explicit key-confirmation round
-// after every flow, and returns the five committed keys in order.
+// after every flow, checks every committed key against the paper's
+// formulas (assertPaperKey), and returns the five keys in order. Join and
+// Merge fold keys without a BD round 2, so their oracle is the closed
+// form alone.
 func runFiveFlows(t *testing.T, accel engine.AccelConfig, seed string) []*big.Int {
 	t.Helper()
 	set := params.Default()
-	newMb := func(net *netsim.Network, id string) *Member {
+	newMb := func(net *xTap, id string) *Member {
 		cfg := Config{Set: set.Public(), Rand: newMontCtrReader(seed + "/" + id), Accel: accel}
 		sk, err := gq.Extract(set.RSA, id)
 		if err != nil {
@@ -65,15 +136,22 @@ func runFiveFlows(t *testing.T, accel engine.AccelConfig, seed string) []*big.In
 		}
 		return mb
 	}
-	confirm := func(net *netsim.Network, members []*Member, what string) *big.Int {
+	confirm := func(net *xTap, members []*Member, what string, ringFlow bool) *big.Int {
 		if err := ConfirmKey(net, members); err != nil {
 			t.Fatalf("%s: key confirmation: %v", what, err)
 		}
-		return assertAgreement(t, members)
+		key := assertAgreement(t, members)
+		xs := net.xs
+		if !ringFlow {
+			xs = nil
+		}
+		assertPaperKey(t, members, xs, what)
+		net.xs = map[string]*big.Int{}
+		return key
 	}
 
 	var keys []*big.Int
-	net := netsim.New()
+	net := newXTap()
 	var group []*Member
 	for i := 0; i < 5; i++ {
 		group = append(group, newMb(net, fmt.Sprintf("M%02d", i+1)))
@@ -81,14 +159,14 @@ func runFiveFlows(t *testing.T, accel engine.AccelConfig, seed string) []*big.In
 	if err := RunInitial(net, group); err != nil {
 		t.Fatalf("initial: %v", err)
 	}
-	keys = append(keys, confirm(net, group, "initial"))
+	keys = append(keys, confirm(net, group, "initial", true))
 
 	joiner := newMb(net, "M06")
 	if err := RunJoin(net, group, joiner); err != nil {
 		t.Fatalf("join: %v", err)
 	}
 	group = append(group, joiner)
-	keys = append(keys, confirm(net, group, "join"))
+	keys = append(keys, confirm(net, group, "join", false))
 
 	if err := RunLeave(net, group, "M02"); err != nil {
 		t.Fatalf("leave: %v", err)
@@ -100,9 +178,9 @@ func runFiveFlows(t *testing.T, accel engine.AccelConfig, seed string) []*big.In
 		}
 	}
 	group = g2
-	keys = append(keys, confirm(net, group, "leave"))
+	keys = append(keys, confirm(net, group, "leave", true))
 
-	netB := netsim.New()
+	netB := newXTap()
 	var groupB []*Member
 	for i := 0; i < 3; i++ {
 		groupB = append(groupB, newMb(netB, fmt.Sprintf("N%02d", i+1)))
@@ -119,7 +197,7 @@ func runFiveFlows(t *testing.T, accel engine.AccelConfig, seed string) []*big.In
 		t.Fatalf("merge: %v", err)
 	}
 	group = append(group, groupB...)
-	keys = append(keys, confirm(net, group, "merge"))
+	keys = append(keys, confirm(net, group, "merge", false))
 
 	evict := []string{group[1].ID(), group[3].ID()}
 	if err := RunPartition(net, group, evict); err != nil {
@@ -131,15 +209,17 @@ func runFiveFlows(t *testing.T, accel engine.AccelConfig, seed string) []*big.In
 			g3 = append(g3, mb)
 		}
 	}
-	keys = append(keys, confirm(net, g3, "partition"))
+	keys = append(keys, confirm(net, g3, "partition", true))
 	return keys
 }
 
-// TestMontTransparent pins the Montgomery-accelerated arithmetic to the
-// math/big paper path across all five flows: with identical randomness,
-// the committed session keys (and therefore the confirm digests, which
-// every member cross-checks in ConfirmKey) must be bit-identical whether
-// the acceleration layer is off or fully on.
+// TestMontTransparent pins the engine's Montgomery-domain key arithmetic
+// to the paper across all five flows. Plain and accelerated runs share
+// that one key path, so each run is checked against the paper-literal
+// oracles (assertPaperKey); with identical randomness the committed keys
+// (and therefore the confirm digests, which every member cross-checks in
+// ConfirmKey) must also be bit-identical whether the acceleration layer
+// is off or fully on.
 func TestMontTransparent(t *testing.T) {
 	flows := []string{"initial", "join", "leave", "merge", "partition"}
 	plain := runFiveFlows(t, engine.AccelConfig{}, "mont-transparency")

@@ -24,18 +24,22 @@ type BatchVerifier interface {
 // operation sequence — and therefore the lockstep drivers' byte/op
 // accounting — exactly as the paper reproduction requires. Acceleration
 // never changes protocol values: payloads, keys and verdicts are
-// bit-identical with any combination of knobs.
+// bit-identical with any combination of knobs. The keying arithmetic
+// itself has one path for every configuration: round 2 keeps the edge
+// power z_prev^r and the key is assembled in the Montgomery domain
+// (bdkey.KeyFromEdgeMont).
 type AccelConfig struct {
 	// Precompute builds windowed fixed-base tables at machine creation —
 	// for the Schnorr generator (every z_i = g^r broadcast) and the
-	// member's GQ identity key (every response s_i = τ·S^c) — and enables
-	// the multi-exponentiation fast path in the Burmester-Desmedt key
-	// assembly. Tables attach to the shared parameter set, so the one-off
-	// build cost is amortised across all members of a process.
+	// member's GQ identity key (every response s_i = τ·S^c). The
+	// generator table attaches to the shared parameter set, so its
+	// one-off build is amortised across all members of a process; the
+	// identity-key table is per member (27 rows of 64 residues of the
+	// RSA modulus' width). Precompute changes nothing else.
 	Precompute bool
 	// VerifyWorkers bounds the worker pool that processes independent
-	// incoming contributions concurrently: the batch-verification
-	// products chunk across peers, and the finish-phase checks
+	// incoming contributions concurrently: the round-2 Z and T products
+	// chunk across peers, and the finish-phase checks
 	// (signature batch, Lemma 1, key computation) run as parallel tasks.
 	// 0 or 1 selects the exact sequential path.
 	VerifyWorkers int
@@ -59,31 +63,6 @@ func newPool(workers int) *pool {
 		return nil
 	}
 	return &pool{workers: workers, sem: make(chan struct{}, workers)}
-}
-
-// size returns the pool's parallelism, 1 for the sequential path.
-func (p *pool) size() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
-// share returns the worker budget for parallelism nested inside the ONE
-// fanning-out task of `tasks` concurrent Run tasks: the straight-line
-// siblings each occupy a slot, and the remainder goes to the task that
-// spawns helpers (chunked products, identity hashing), keeping the
-// machine's total concurrency at ~VerifyWorkers rather than multiplying
-// budgets. When several siblings nest parallelism, use split instead.
-func (p *pool) share(tasks int) int {
-	if p == nil {
-		return 1
-	}
-	w := p.workers - (tasks - 1)
-	if w < 1 {
-		return 1
-	}
-	return w
 }
 
 // split divides the worker budget evenly across `tasks` concurrent Run

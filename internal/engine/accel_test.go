@@ -3,13 +3,16 @@ package engine_test
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"math/big"
 	"reflect"
 	"testing"
 
+	"idgka/internal/bdkey"
 	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/params"
 	"idgka/internal/sigs/gq"
+	"idgka/internal/wire"
 )
 
 // ctrReader is a deterministic randomness stream (SHA-256 in counter
@@ -60,10 +63,70 @@ func accelNodes(t testing.TB, ids []string, seed string, accel engine.AccelConfi
 	return nodes
 }
 
-// runLifecycle drives establish + leave + confirm over a deterministic
-// bus and returns the final per-member meter reports and the leave key.
+// pumpRecordingX drains the bus like bus.pump while recording, per
+// session id, the X value of every round-2 broadcast it delivers
+// (enveloped m'_i = sid ‖ attempt ‖ U_i ‖ X_i ‖ s_i).
+func pumpRecordingX(b *bus, xs map[string]map[string]*big.Int) {
+	for len(b.queue) > 0 {
+		d := b.queue[0]
+		b.queue = b.queue[1:]
+		if d.msg.Type == engine.MsgRound2 || d.msg.Type == engine.MsgLeave2 {
+			r := wire.NewReader(d.msg.Payload)
+			sid := r.String()
+			_ = r.Uint() // attempt
+			from := r.String()
+			if xs[sid] == nil {
+				xs[sid] = map[string]*big.Int{}
+			}
+			xs[sid][from] = r.Big()
+		}
+		nd := b.nodes[d.to]
+		outs, evts := nd.mc.Step(d.msg)
+		nd.record(evts)
+		b.send(d.to, outs)
+	}
+}
+
+// assertPaperKey checks the key the ring members committed for session
+// sid against the paper: equation (3) in its closed form
+// g^{Σ r_i r_{i+1}} over the members' committed exponents
+// (bdkey.DirectKey), and every member's bdkey.Key recomputed from its
+// committed z view and the recorded X values.
+func assertPaperKey(t *testing.T, nodes map[string]*node, member, sid string, xs map[string]*big.Int) {
+	t.Helper()
+	sg := params.Default().Schnorr
+	roster := nodes[member].mc.Session(sid).Roster
+	n := len(roster)
+	rs := make([]*big.Int, n)
+	ring := make([]*big.Int, n)
+	for i, id := range roster {
+		rs[i] = nodes[id].mc.Session(sid).R
+		if ring[i] = xs[id]; ring[i] == nil {
+			t.Fatalf("%s: no round-2 X recorded for %s", sid, id)
+		}
+	}
+	want := bdkey.DirectKey(sg.G, rs, sg.Q, sg.P)
+	for i, id := range roster {
+		g := nodes[id].mc.Session(sid)
+		if g.Key.Cmp(want) != 0 {
+			t.Fatalf("%s: %s's key is not g^{Σ r_i r_(i+1)}", sid, id)
+		}
+		k, err := bdkey.Key(i, g.R, g.Z[roster[(i-1+n)%n]], ring, sg.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.Cmp(g.Key) != 0 {
+			t.Fatalf("%s: %s's key differs from bdkey.Key over the recorded X values", sid, id)
+		}
+	}
+}
+
+// runLifecycle drives establish + leave over a deterministic bus, checks
+// both committed keys against the paper-literal oracles, and returns the
+// final per-member meter reports.
 func runLifecycle(t *testing.T, nodes map[string]*node, ring []string) map[string]meter.Report {
 	t.Helper()
+	xs := map[string]map[string]*big.Int{}
 	b := newBus(t, nodes, ring)
 	for _, id := range ring {
 		id := id
@@ -71,8 +134,9 @@ func runLifecycle(t *testing.T, nodes map[string]*node, ring []string) map[strin
 			return mc.StartInitial("acc/est", ring)
 		})
 	}
-	b.pump()
+	pumpRecordingX(b, xs)
 	assertSession(t, nodes, ring, "acc/est")
+	assertPaperKey(t, nodes, ring[0], "acc/est", xs["acc/est"])
 
 	survivors, refresh, err := engine.PlanLeave(nodes[ring[0]].mc.Session("acc/est"), []string{ring[1]})
 	if err != nil {
@@ -84,8 +148,9 @@ func runLifecycle(t *testing.T, nodes map[string]*node, ring []string) map[strin
 			return mc.StartPartition("acc/leave", "acc/est", survivors, refresh)
 		})
 	}
-	b.pump()
+	pumpRecordingX(b, xs)
 	assertSession(t, nodes, survivors, "acc/leave")
+	assertPaperKey(t, nodes, survivors[0], "acc/leave", xs["acc/leave"])
 
 	reports := map[string]meter.Report{}
 	for id, nd := range nodes {
@@ -95,10 +160,11 @@ func runLifecycle(t *testing.T, nodes map[string]*node, ring []string) map[strin
 }
 
 // TestAccelTransparent runs the same seeded lifecycle with the
-// acceleration layer off and fully on: the committed keys and every
-// member's operation/byte meters must be bit-identical — acceleration
-// must never change what the protocol computes or what the paper's
-// accounting charges.
+// acceleration layer off and fully on. Both runs share one key path, so
+// each is checked against the paper-literal oracles (runLifecycle); the
+// committed keys and every member's operation/byte meters must also be
+// bit-identical — acceleration must never change what the protocol
+// computes or what the paper's accounting charges.
 func TestAccelTransparent(t *testing.T) {
 	ring := []string{"A01", "A02", "A03", "A04", "A05"}
 

@@ -76,6 +76,12 @@ const (
 	MsgConfirm  = "gka/confirm"  // key-confirmation digest
 )
 
+// maxClaimBuilders bounds a machine's per-roster claim-builder cache. A
+// member of a standing group sees a handful of rosters per membership
+// change, so this comfortably covers every roster still in use; evicting
+// one only costs a re-hash of its identities on the next claim.
+const maxClaimBuilders = 256
+
 // maxEarlyBuffer bounds the number of messages buffered for sessions that
 // have not been started yet; beyond it the oldest are discarded. It must
 // comfortably exceed (group size × concurrently outstanding flows):
@@ -247,7 +253,8 @@ type Machine struct {
 	// gvCache holds per-roster claim builders (cached identity products)
 	// for the deferred batch-verification path; rosters recur across
 	// rounds and sessions, so the hashing and inversion are one-off. It
-	// has its own lock because finish phases of concurrent flows touch it.
+	// holds at most maxClaimBuilders entries and has its own lock because
+	// finish phases of concurrent flows touch it.
 	gvMu    sync.Mutex
 	gvCache map[string]*gq.GroupVerifier
 
@@ -320,10 +327,18 @@ func (mc *Machine) claimBuilder(roster []string) (*gq.GroupVerifier, error) {
 	if gv := mc.gvCache[key]; gv != nil {
 		return gv, nil
 	}
-	//gkalint:blocked identityProduct joins a bounded pool of CPU-only goroutines that always terminate; nothing external can wedge gvMu
 	gv, err := gq.NewClaimBuilder(gq.ParamsFrom(mc.cfg.Set.RSA), roster)
 	if err != nil {
 		return nil, err
+	}
+	if len(mc.gvCache) >= maxClaimBuilders {
+		// Full: drop one arbitrary entry. Every Join of a fresh identity
+		// makes a new roster, so an unbounded cache would grow for the
+		// life of the machine.
+		for k := range mc.gvCache {
+			delete(mc.gvCache, k)
+			break
+		}
 	}
 	mc.gvCache[key] = gv
 	return gv, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -28,9 +29,9 @@ type ringState struct {
 
 	bigZ, bigT, c *big.Int
 
-	// edge holds z_prev^r when the accelerated round 2 computed X from
-	// its two directed edge powers: equation (3)'s dominant z_prev^{n·r}
-	// term then collapses to edge^n (~log2 n squarings) in finish.
+	// edge holds z_prev^r, the second of the two directed edge powers
+	// round 2 raises to form X: equation (3)'s dominant z_prev^{n·r} term
+	// then collapses to edge^n (~log2 n squarings) in finish.
 	edge *big.Int
 }
 
@@ -100,25 +101,19 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	n := rs.n()
 	zNext := rs.z[rs.roster[(rs.self+1)%n]]
 	zPrev := rs.z[rs.roster[(rs.self-1+n)%n]]
-	var x *big.Int
-	var err error
-	if mc.cfg.Accel.Precompute {
-		// Edge-carrying restructure: raise the two directed DH edges
-		// separately and keep b = z_prev^r for the key computation, where
-		// it collapses equation (3)'s z_prev^{n·r} to b^n. X is
-		// bit-identical to XValue's, the session's total exponentiation
-		// count is unchanged (the saving lands in finish), and the meter
-		// charges the same logical operation.
-		a := new(big.Int).Exp(zNext, rs.r, sg.P)
-		b := new(big.Int).Exp(zPrev, rs.r, sg.P)
-		x, err = bdkey.XFromPowers(a, b, sg.P)
-		rs.edge = b
-	} else {
-		x, err = bdkey.XValue(zNext, zPrev, rs.r, sg.P)
-	}
+	// Edge-carrying round 2: raise the two directed DH edges separately
+	// and keep b = z_prev^r for the key computation, where it collapses
+	// equation (3)'s z_prev^{n·r} to b^n. X is bit-identical to
+	// bdkey.XValue's, the session's total exponentiation count is
+	// unchanged (the saving lands in finish), and the meter charges the
+	// same logical operation.
+	a := new(big.Int).Exp(zNext, rs.r, sg.P)
+	b := new(big.Int).Exp(zPrev, rs.r, sg.P)
+	x, err := bdkey.XFromPowers(a, b, sg.P)
 	if err != nil {
 		return nil, err
 	}
+	rs.edge = b
 	mc.m.Exp(1)
 
 	// Z = Π z_i mod p, T = Π t_i mod n, c = H(T, Z). The two products
@@ -171,14 +166,14 @@ func (rs *ringState) submitClaim(mc *Machine, bv BatchVerifier, responses []*big
 // on the X values, and the BD key computation (equation 3), returning the
 // committed group view.
 //
-// The three checks consume disjoint inputs (s values; X values; z/X
-// values), so with an active worker pool they run as concurrent tasks and
-// the batch-verification products chunk across peers. Sequentially the
-// tasks run in the exact legacy order with fail-fast semantics, keeping
-// the lockstep drivers' operation accounting bit-identical; in parallel
-// mode a failing check no longer short-circuits its siblings, so the
-// failure path may charge the key-computation Exp that the sequential
-// path skips (values and verdicts are unaffected).
+// The three checks consume disjoint inputs (s values; X values; edge and
+// X values), so with an active worker pool they run as concurrent tasks.
+// Sequentially the tasks run in the exact legacy order with fail-fast
+// semantics, keeping the lockstep drivers' operation accounting
+// bit-identical; in parallel mode a failing check no longer
+// short-circuits its siblings, so the failure path may charge the
+// key-computation Exp that the sequential path skips (values and
+// verdicts are unaffected).
 func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	sg := mc.cfg.Set.Schnorr
 	n := rs.n()
@@ -191,8 +186,6 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	for i, id := range rs.roster {
 		xsOrdered[i] = rs.x[id]
 	}
-	zPrev := rs.z[rs.roster[(rs.self-1+n)%n]]
-
 	var key *big.Int
 	err := mc.pool.Run(
 		// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z). With a host
@@ -205,7 +198,7 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 			if bv := mc.cfg.Accel.BatchVerifier; bv != nil {
 				err = rs.submitClaim(mc, bv, responses)
 			} else {
-				err = gq.BatchVerifyWorkers(gq.ParamsFrom(mc.cfg.Set.RSA), rs.roster, responses, rs.c, rs.bigZ, mc.pool.share(3))
+				err = gq.BatchVerify(gq.ParamsFrom(mc.cfg.Set.RSA), rs.roster, responses, rs.c, rs.bigZ)
 			}
 			mc.m.SignVer(meter.SchemeGQ, 1)
 			if err != nil {
@@ -220,31 +213,22 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 			}
 			return nil
 		},
-		// Equation (3): the shared key. With the edge power carried over
-		// from the accelerated round 2, the whole assembly runs in the
-		// Montgomery domain: the X values convert in once, edge^n replaces
-		// the full-width z_prev^{n·r} exponentiation, and the descending-
-		// exponent chain telescopes into prefix products.
+		// Equation (3): the shared key, assembled entirely in the
+		// Montgomery domain from the edge power round 2 carried over: the
+		// X values convert in once, edge^n replaces the full-width
+		// z_prev^{n·r} exponentiation, and the descending-exponent chain
+		// telescopes into prefix products.
 		func() error {
+			mo := sg.Mont()
+			if mo == nil {
+				return errors.New("engine: Schnorr modulus has no Montgomery form")
+			}
+			xsMont := make([]mathx.Elem, n)
+			for i, x := range xsOrdered {
+				xsMont[i] = mo.ToMont(x)
+			}
 			var err error
-			done := false
-			if mc.cfg.Accel.Precompute && rs.edge != nil {
-				if mo := sg.Mont(); mo != nil {
-					xsMont := make([]mathx.Elem, n)
-					for i, x := range xsOrdered {
-						xsMont[i] = mo.ToMont(x)
-					}
-					key, err = bdkey.KeyFromEdgeMont(mo, rs.self, mo.ToMont(rs.edge), xsMont)
-					done = true
-				}
-			}
-			if !done {
-				if mc.cfg.Accel.Precompute {
-					key, err = bdkey.KeyMultiExp(rs.self, rs.r, zPrev, xsOrdered, sg.P)
-				} else {
-					key, err = bdkey.Key(rs.self, rs.r, zPrev, xsOrdered, sg.P)
-				}
-			}
+			key, err = bdkey.KeyFromEdgeMont(mo, rs.self, mo.ToMont(rs.edge), xsMont)
 			if err != nil {
 				return err
 			}

@@ -119,57 +119,6 @@ func (t *FixedBaseTable) Exp(e *big.Int) *big.Int {
 	return acc
 }
 
-// MultiExp computes Π bases[i]^exps[i] mod m with one shared squaring
-// chain (the generalised Shamir trick): max(bits) squarings plus one
-// multiplication per set exponent bit, instead of a full square-and-
-// multiply per base. The win is largest when exponents are short (the
-// Burmester-Desmedt key assembly, whose exponents are bounded by the
-// ring size) or when many bases share one verification equation.
-// Negative exponents are resolved through modular inverses, so m must be
-// coprime with the corresponding base.
-func MultiExp(bases, exps []*big.Int, m *big.Int) (*big.Int, error) {
-	if m == nil || m.Sign() <= 0 {
-		return nil, errors.New("mathx: MultiExp modulus must be positive")
-	}
-	if len(bases) != len(exps) {
-		return nil, errors.New("mathx: MultiExp bases/exps length mismatch")
-	}
-	bs := make([]*big.Int, len(bases))
-	es := make([]*big.Int, len(exps))
-	maxBits := 0
-	for i := range bases {
-		if bases[i] == nil || exps[i] == nil {
-			return nil, errors.New("mathx: MultiExp nil operand")
-		}
-		b, e := bases[i], exps[i]
-		if e.Sign() < 0 {
-			inv, err := ModInverse(b, m)
-			if err != nil {
-				return nil, err
-			}
-			b = inv
-			e = new(big.Int).Neg(e)
-		}
-		bs[i] = new(big.Int).Mod(b, m)
-		es[i] = e
-		if bl := e.BitLen(); bl > maxBits {
-			maxBits = bl
-		}
-	}
-	acc := big.NewInt(1)
-	for i := maxBits - 1; i >= 0; i-- {
-		acc.Mul(acc, acc)
-		acc.Mod(acc, m)
-		for j := range bs {
-			if es[j].Bit(i) == 1 {
-				acc.Mul(acc, bs[j])
-				acc.Mod(acc, m)
-			}
-		}
-	}
-	return acc, nil
-}
-
 // productParallelThreshold is the slice length below which chunking a
 // modular product across workers costs more than it saves.
 const productParallelThreshold = 32

@@ -132,73 +132,6 @@ func TestSchnorrGroupPrecomputeTransparent(t *testing.T) {
 	}
 }
 
-func TestMultiExpMatchesSeparateExps(t *testing.T) {
-	p, _ := testModulus(t, 256)
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + trial%6
-		bases := make([]*big.Int, n)
-		exps := make([]*big.Int, n)
-		want := big.NewInt(1)
-		for i := 0; i < n; i++ {
-			b, err := RandInt(rand.Reader, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b.Sign() == 0 {
-				b.SetInt64(3)
-			}
-			e, err := RandInt(rand.Reader, new(big.Int).Lsh(One, 64))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if trial%3 == 0 {
-				e.Neg(e) // exercise the inverse path
-			}
-			bases[i], exps[i] = b, e
-			t1, err := ModExp(b, e, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Mul(want, t1)
-			want.Mod(want, p)
-		}
-		got, err := MultiExp(bases, exps, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("trial %d: MultiExp mismatch", trial)
-		}
-	}
-}
-
-func TestMultiExpEdgeCases(t *testing.T) {
-	p, b := testModulus(t, 128)
-	got, err := MultiExp(nil, nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(One) != 0 {
-		t.Fatalf("empty MultiExp = %v, want 1", got)
-	}
-	if _, err := MultiExp([]*big.Int{b}, nil, p); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := MultiExp([]*big.Int{b}, []*big.Int{One}, big.NewInt(0)); err == nil {
-		t.Fatal("zero modulus accepted")
-	}
-	if _, err := MultiExp([]*big.Int{nil}, []*big.Int{One}, p); err == nil {
-		t.Fatal("nil base accepted")
-	}
-	got, err = MultiExp([]*big.Int{b}, []*big.Int{big.NewInt(0)}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(One) != 0 {
-		t.Fatalf("b^0 = %v, want 1", got)
-	}
-}
-
 func TestProductModParallelMatchesSerial(t *testing.T) {
 	p, _ := testModulus(t, 256)
 	// 305 with many workers regression-tests the chunking: ceil-division

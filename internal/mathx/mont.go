@@ -458,20 +458,6 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	return acc
 }
 
-// Exp computes base^e mod m through the Montgomery engine, bit-identical
-// to (*big.Int).Exp / mathx.ModExp. Negative exponents are resolved
-// through a modular inverse (m must be coprime with base).
-func (mo *Modulus) Exp(base, e *big.Int) (*big.Int, error) {
-	if e.Sign() < 0 {
-		inv, err := ModInverse(base, mo.m)
-		if err != nil {
-			return nil, err
-		}
-		return mo.FromMont(mo.ExpElem(mo.ToMont(inv), new(big.Int).Neg(e))), nil
-	}
-	return mo.FromMont(mo.ExpElem(mo.ToMont(base), e)), nil
-}
-
 // MultiExpElem computes Π bases[i]^exps[i] in the Montgomery domain with
 // one interleaved squaring chain shared by every base (windowed Shamir
 // trick): max-bits squarings total plus, per base, a sliding window's
@@ -564,39 +550,6 @@ func (mo *Modulus) MultiExpElem(bases []Elem, exps []*big.Int) (Elem, error) {
 		}
 	}
 	return acc, nil
-}
-
-// MultiExp is MultiExpElem over big.Int operands: bases convert into the
-// Montgomery domain once, negative exponents resolve through modular
-// inverses, and the accumulated product converts back out. Bit-identical
-// to mathx.MultiExp.
-func (mo *Modulus) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
-	bs := make([]Elem, len(bases))
-	es := make([]*big.Int, len(exps))
-	if len(bases) != len(exps) {
-		return nil, errors.New("mathx: MultiExp bases/exps length mismatch")
-	}
-	for i := range bases {
-		if bases[i] == nil || exps[i] == nil {
-			return nil, errors.New("mathx: MultiExp nil operand")
-		}
-		b, e := bases[i], exps[i]
-		if e.Sign() < 0 {
-			inv, err := ModInverse(b, mo.m)
-			if err != nil {
-				return nil, err
-			}
-			b = inv
-			e = new(big.Int).Neg(e)
-		}
-		bs[i] = mo.ToMont(b)
-		es[i] = e
-	}
-	acc, err := mo.MultiExpElem(bs, es)
-	if err != nil {
-		return nil, err
-	}
-	return mo.FromMont(acc), nil
 }
 
 // IsOne reports whether e is the Montgomery image of 1.

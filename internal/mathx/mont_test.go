@@ -137,11 +137,7 @@ func TestMontExp(t *testing.T) {
 		for _, b := range bases {
 			for _, e := range exps {
 				want := new(big.Int).Exp(b, e, m)
-				got, err := mo.Exp(b, e)
-				if err != nil {
-					t.Fatalf("Exp(%v, %v) mod %d bits: %v", b, e, m.BitLen(), err)
-				}
-				if got.Cmp(want) != 0 {
+				if got := mo.FromMont(mo.ExpElem(mo.ToMont(b), e)); got.Cmp(want) != 0 {
 					t.Fatalf("Exp(%v, %v) mod %d bits: got %v want %v", b, e, m.BitLen(), got, want)
 				}
 			}
@@ -149,7 +145,9 @@ func TestMontExp(t *testing.T) {
 	}
 }
 
-// TestMontExpNegative checks the negative-exponent path against ModExp.
+// TestMontExpNegative checks that a negative exponent is resolved the way
+// callers of the domain do it — invert first, then raise to |e| — against
+// ModExp, and that ExpElem itself refuses a negative exponent.
 func TestMontExpNegative(t *testing.T) {
 	p, err := RandPrime(rand.Reader, 256)
 	if err != nil {
@@ -165,19 +163,75 @@ func TestMontExpNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mo.Exp(b, e)
+	inv, err := ModInverse(b, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cmp(want) != 0 {
+	if got := mo.FromMont(mo.ExpElem(mo.ToMont(inv), new(big.Int).Neg(e))); got.Cmp(want) != 0 {
 		t.Fatalf("negative exponent: got %v want %v", got, want)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ExpElem accepted a negative exponent")
+		}
+	}()
+	mo.ExpElem(mo.ToMont(b), e)
 }
 
 // TestMontMultiExp cross-checks the interleaved Montgomery multi-exp
-// against the big.Int MultiExp and the naive product of Exps.
+// against the naive product of Exps, over a 1024-bit prime with
+// exponents of mixed lengths and over a 256-bit prime with 64-bit
+// exponents (the RLC settlement's shape).
 func TestMontMultiExp(t *testing.T) {
-	p, err := RandPrime(rand.Reader, 1024)
+	for _, shape := range []struct {
+		bits    int
+		expBits func(i int) uint
+		sizes   []int
+	}{
+		{1024, func(i int) uint { return uint(8 + 40*i) }, []int{1, 5, 9}},
+		{256, func(int) uint { return 64 }, []int{1, 2, 3, 4, 5, 6}},
+	} {
+		p, err := RandPrime(rand.Reader, shape.bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mo, err := NewModulus(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range shape.sizes {
+			bases := make([]Elem, n)
+			exps := make([]*big.Int, n)
+			want := big.NewInt(1)
+			for i := range bases {
+				b, err := RandInt(rand.Reader, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exps[i], err = RandInt(rand.Reader, new(big.Int).Lsh(One, shape.expBits(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bases[i] = mo.ToMont(b)
+				want.Mul(want, new(big.Int).Exp(b, exps[i], p))
+				want.Mod(want, p)
+			}
+			acc, err := mo.MultiExpElem(bases, exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mo.FromMont(acc); got.Cmp(want) != 0 {
+				t.Fatalf("%d-bit MultiExpElem n=%d: got %v want %v", shape.bits, n, got, want)
+			}
+		}
+	}
+}
+
+// TestMultiExpEdgeCases pins MultiExpElem's contract on degenerate input:
+// the empty product and all-zero exponents yield the image of 1, and
+// mismatched lengths, nil operands and negative exponents are refused.
+func TestMultiExpEdgeCases(t *testing.T) {
+	p, err := RandPrime(rand.Reader, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,36 +239,32 @@ func TestMontMultiExp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 1; n <= 9; n += 4 {
-		bases := make([]*big.Int, n)
-		exps := make([]*big.Int, n)
-		want := big.NewInt(1)
-		for i := range bases {
-			bases[i], err = RandInt(rand.Reader, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exps[i], err = RandInt(rand.Reader, new(big.Int).Lsh(One, uint(8+40*i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Mul(want, new(big.Int).Exp(bases[i], exps[i], p))
-			want.Mod(want, p)
-		}
-		got, err := mo.MultiExp(bases, exps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("MultiExp n=%d: got %v want %v", n, got, want)
-		}
-		ref, err := MultiExp(bases, exps, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(ref) != 0 {
-			t.Fatalf("MultiExp n=%d disagrees with big.Int MultiExp", n)
-		}
+	b := mo.ToMont(big.NewInt(7))
+	got, err := mo.MultiExpElem(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mo.IsOne(got) {
+		t.Fatalf("empty MultiExpElem = %v, want 1", mo.FromMont(got))
+	}
+	if _, err := mo.MultiExpElem([]Elem{b}, nil); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+	if _, err := mo.MultiExpElem([]Elem{nil}, []*big.Int{One}); err == nil {
+		t.Fatal("nil base accepted")
+	}
+	if _, err := mo.MultiExpElem([]Elem{b}, []*big.Int{nil}); err == nil {
+		t.Fatal("nil exponent accepted")
+	}
+	if _, err := mo.MultiExpElem([]Elem{b}, []*big.Int{big.NewInt(-1)}); err == nil {
+		t.Fatal("negative exponent accepted")
+	}
+	got, err = mo.MultiExpElem([]Elem{b}, []*big.Int{big.NewInt(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mo.IsOne(got) {
+		t.Fatalf("b^0 = %v, want 1", mo.FromMont(got))
 	}
 }
 
@@ -288,9 +338,7 @@ func BenchmarkVarBaseExp(b *testing.B) {
 	})
 	b.Run("mont", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mo.Exp(base, exp); err != nil {
-				b.Fatal(err)
-			}
+			mo.FromMont(mo.ExpElem(mo.ToMont(base), exp))
 		}
 	})
 	b.Run("mont-domain", func(b *testing.B) {

@@ -76,7 +76,11 @@ func buildTestClaim(t *testing.T, roster []string, tamper bool) *gq.Claim {
 		}
 		responses[i] = sk.Respond(taus[i], c)
 	}
-	cl, err := gq.NewClaim(pub, roster, responses, c, bigT)
+	cb, err := gq.NewClaimBuilder(pub, roster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cb.NewClaim(responses, c, bigT)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package gq
 
 import (
 	"crypto/rand"
-	"fmt"
 	"math/big"
 	"testing"
 
@@ -45,48 +44,6 @@ func TestPrecomputeRespondTransparent(t *testing.T) {
 	}
 	if err := Verify(sk.Pub, sk.ID, msg, sig); err != nil {
 		t.Fatalf("precomputed signature rejected: %v", err)
-	}
-}
-
-// batchFixture builds a valid n-signer batch over the default parameters.
-func batchFixture(t testing.TB, n int) (pub Params, ids []string, responses []*big.Int, c, z *big.Int) {
-	pub = testKey(t, "seed").Pub
-	ids = make([]string, n)
-	taus := make([]*big.Int, n)
-	ts := make([]*big.Int, n)
-	for i := 0; i < n; i++ {
-		ids[i] = fmt.Sprintf("batch-%03d", i)
-		tau, ti, err := Commitment(rand.Reader, pub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		taus[i], ts[i] = tau, ti
-	}
-	z = big.NewInt(77)
-	c = GroupChallenge(mathx.ProductMod(ts, pub.N), z)
-	responses = make([]*big.Int, n)
-	for i, id := range ids {
-		responses[i] = testKey(t, id).Respond(taus[i], c)
-	}
-	return pub, ids, responses, c, z
-}
-
-func TestBatchVerifyWorkersMatchesSerial(t *testing.T) {
-	for _, n := range []int{2, 16, 40} {
-		pub, ids, responses, c, z := batchFixture(t, n)
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			if err := BatchVerifyWorkers(pub, ids, responses, c, z, workers); err != nil {
-				t.Fatalf("n=%d workers=%d: valid batch rejected: %v", n, workers, err)
-			}
-		}
-		// A corrupted response must fail at every parallelism level.
-		bad := append([]*big.Int(nil), responses...)
-		bad[n/2] = new(big.Int).Add(bad[n/2], mathx.One)
-		for _, workers := range []int{1, 4} {
-			if err := BatchVerifyWorkers(pub, ids, bad, c, z, workers); err == nil {
-				t.Fatalf("n=%d workers=%d: corrupted batch accepted", n, workers)
-			}
-		}
 	}
 }
 

@@ -34,7 +34,7 @@ const RLCBits = 64
 // are identical to gq.BatchVerify. Safe for concurrent use once built.
 type GroupVerifier struct {
 	pub     Params
-	ids     []string
+	size    int // number of signers
 	hProd   *big.Int
 	hInv    *big.Int
 	hInvTab *mathx.FixedBaseTable
@@ -42,25 +42,14 @@ type GroupVerifier struct {
 
 // NewGroupVerifier builds the cached context for a signer set.
 func NewGroupVerifier(pub Params, ids []string) (*GroupVerifier, error) {
-	if len(ids) == 0 {
-		return nil, errors.New("gq: empty signer set")
-	}
-	hProd := identityProduct(pub, ids, 1)
-	hInv, err := mathx.ModInverse(hProd, pub.N)
-	if err != nil {
-		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
-	}
-	tab, err := mathx.NewFixedBaseTable(hInv, pub.N, hashx.ChallengeBits, mathx.DefaultWindow)
+	gv, err := NewClaimBuilder(pub, ids)
 	if err != nil {
 		return nil, err
 	}
-	return &GroupVerifier{
-		pub:     pub,
-		ids:     append([]string(nil), ids...),
-		hProd:   hProd,
-		hInv:    hInv,
-		hInvTab: tab,
-	}, nil
+	if gv.hInvTab, err = mathx.NewFixedBaseTable(gv.hInv, pub.N, hashx.ChallengeBits, mathx.DefaultWindow); err != nil {
+		return nil, err
+	}
+	return gv, nil
 }
 
 // NewClaimBuilder is NewGroupVerifier without the fixed-base table: the
@@ -72,27 +61,19 @@ func NewClaimBuilder(pub Params, ids []string) (*GroupVerifier, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("gq: empty signer set")
 	}
-	hProd := identityProduct(pub, ids, 1)
+	hProd := identityProduct(pub, ids)
 	hInv, err := mathx.ModInverse(hProd, pub.N)
 	if err != nil {
 		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
 	}
-	return &GroupVerifier{
-		pub:   pub,
-		ids:   append([]string(nil), ids...),
-		hProd: hProd,
-		hInv:  hInv,
-	}, nil
+	return &GroupVerifier{pub: pub, size: len(ids), hProd: hProd, hInv: hInv}, nil
 }
-
-// IDs returns the signer set the verifier was built for (read-only).
-func (gv *GroupVerifier) IDs() []string { return gv.ids }
 
 // BatchVerify checks equation (2) for one round of the cached signer set:
 // c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z). The verdict is identical to
 // gq.BatchVerify over the same inputs.
 func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error {
-	if len(responses) != len(gv.ids) {
+	if len(responses) != gv.size {
 		return errors.New("gq: batch size mismatch")
 	}
 	for i, s := range responses {
@@ -141,7 +122,7 @@ type Claim struct {
 // identity digests, their product and its inverse all come from the
 // cache, so a round's claim costs only the response product.
 func (gv *GroupVerifier) NewClaim(responses []*big.Int, c, t *big.Int) (*Claim, error) {
-	if len(responses) != len(gv.ids) {
+	if len(responses) != gv.size {
 		return nil, errors.New("gq: batch size mismatch")
 	}
 	if c == nil || t == nil {
@@ -159,29 +140,6 @@ func (gv *GroupVerifier) NewClaim(responses []*big.Int, c, t *big.Int) (*Claim, 
 		C:     c,
 		T:     new(big.Int).Mod(t, gv.pub.N),
 		HInv:  gv.hInv,
-	}, nil
-}
-
-// NewClaim folds a signer set's responses into a deferred claim,
-// performing the same malformed-input rejection as BatchVerify.
-func NewClaim(pub Params, ids []string, responses []*big.Int, c, t *big.Int) (*Claim, error) {
-	if len(ids) == 0 || len(ids) != len(responses) {
-		return nil, errors.New("gq: batch size mismatch")
-	}
-	if c == nil || t == nil {
-		return nil, errors.New("gq: claim missing challenge or commitment")
-	}
-	for i, s := range responses {
-		if s == nil || s.Sign() <= 0 || s.Cmp(pub.N) >= 0 {
-			return nil, fmt.Errorf("gq: response %d out of range", i)
-		}
-	}
-	return &Claim{
-		Pub:   pub,
-		SProd: mathx.ProductMod(responses, pub.N),
-		HProd: identityProduct(pub, ids, 1),
-		C:     c,
-		T:     new(big.Int).Mod(t, pub.N),
 	}, nil
 }
 

@@ -73,9 +73,16 @@ func TestGroupVerifierMatchesBatchVerify(t *testing.T) {
 func TestClaimMatchesBatchVerify(t *testing.T) {
 	ids := []string{"a", "b", "c", "d"}
 	pub, responses, c, bigT, _ := buildBatch(t, ids)
-	claim, err := NewClaim(pub, ids, responses, c, bigT)
+	cb, err := NewClaimBuilder(pub, ids)
 	if err != nil {
 		t.Fatal(err)
+	}
+	claim, err := cb.NewClaim(responses, c, bigT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if claim.HProd.Cmp(identityProduct(pub, ids)) != 0 {
+		t.Fatal("claim carries the wrong identity product")
 	}
 	if err := claim.Verify(); err != nil {
 		t.Fatalf("honest claim rejected: %v", err)
@@ -85,8 +92,19 @@ func TestClaimMatchesBatchVerify(t *testing.T) {
 	if bad.Verify() == nil {
 		t.Fatal("corrupted claim accepted")
 	}
-	// The cached builder must produce a claim with the same verdicts and
-	// the same algebraic content, plus the cached inverse.
+	// Without the cached inverse the claim folds HProd^{-c} itself and
+	// reaches the same verdicts.
+	bare := *claim
+	bare.HInv = nil
+	if err := bare.Verify(); err != nil {
+		t.Fatalf("claim without cached inverse rejected: %v", err)
+	}
+	bare.SProd = bad.SProd
+	if bare.Verify() == nil {
+		t.Fatal("corrupted claim without cached inverse accepted")
+	}
+	// A full GroupVerifier must produce a claim with the same verdicts
+	// and the same algebraic content, plus the cached inverse.
 	gv, err := NewGroupVerifier(pub, ids)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +114,7 @@ func TestClaimMatchesBatchVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cached.SProd.Cmp(claim.SProd) != 0 || cached.HProd.Cmp(claim.HProd) != 0 {
-		t.Fatal("cached claim diverges from NewClaim")
+		t.Fatal("GroupVerifier claim diverges from the claim builder's")
 	}
 	if cached.HInv == nil {
 		t.Fatal("cached claim missing HInv")
@@ -109,10 +127,10 @@ func TestClaimMatchesBatchVerify(t *testing.T) {
 	if badCached.Verify() == nil {
 		t.Fatal("corrupted cached claim accepted")
 	}
-	if _, err := NewClaim(pub, ids, responses[:2], c, bigT); err == nil {
+	if _, err := cb.NewClaim(responses[:2], c, bigT); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if _, err := NewClaim(pub, ids, append(responses[:3:3], big.NewInt(0)), c, bigT); err == nil {
+	if _, err := cb.NewClaim(append(responses[:3:3], big.NewInt(0)), c, bigT); err == nil {
 		t.Fatal("zero response accepted")
 	}
 }
@@ -130,7 +148,11 @@ func TestVerifyClaimsRLC(t *testing.T) {
 	claims := make([]*Claim, len(sets))
 	for i, ids := range sets {
 		pub, responses, c, bigT, _ := buildBatch(t, ids)
-		cl, err := NewClaim(pub, ids, responses, c, bigT)
+		cb, err := NewClaimBuilder(pub, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cb.NewClaim(responses, c, bigT)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,6 +35,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -118,6 +119,15 @@ func writeFrame(w io.Writer, f *frame) error {
 	return err
 }
 
+// Frame size limits. A frame body is allocated in one piece up to
+// eagerFrameBytes; a longer announced length only grows the buffer as
+// bytes actually arrive, so a peer cannot make the reader allocate
+// maxFrameBytes by announcing it and then stalling or hanging up.
+const (
+	maxFrameBytes   = 64 << 20
+	eagerFrameBytes = 64 << 10
+)
+
 // readFrame parses one length-prefixed frame.
 func readFrame(r io.Reader) (*frame, error) {
 	var lenBuf [4]byte
@@ -125,12 +135,25 @@ func readFrame(r io.Reader) (*frame, error) {
 		return nil, err
 	}
 	n := int(uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3]))
-	if n < 0 || n > 64<<20 {
+	if n < 0 || n > maxFrameBytes {
 		return nil, fmt.Errorf("transport: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	var body []byte
+	if n <= eagerFrameBytes {
+		body = make([]byte, n)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, err
+		}
+	} else {
+		var buf bytes.Buffer
+		buf.Grow(eagerFrameBytes)
+		if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		body = buf.Bytes()
 	}
 	rd := wire.NewReader(body)
 	f := &frame{

@@ -2,9 +2,15 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"idgka/internal/core"
 	"idgka/internal/meter"
@@ -204,19 +210,23 @@ func TestFullGKAOverTCP(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := &frame{Kind: kindMsg, Seq: 42, From: "a", To: "b", Type: "x", StateLen: 7, Payload: []byte{9, 8}}
-	if err := writeFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Kind != in.Kind || out.Seq != in.Seq || out.From != in.From ||
-		out.To != in.To || out.Type != in.Type || out.StateLen != in.StateLen ||
-		!bytes.Equal(out.Payload, in.Payload) {
-		t.Fatalf("round trip mismatch: %+v", out)
+	// Payloads on both sides of the eager-allocation size: larger bodies
+	// take the grow-as-bytes-arrive path.
+	for _, payload := range [][]byte{{9, 8}, bytes.Repeat([]byte{0x5a}, eagerFrameBytes), bytes.Repeat([]byte{0xa5}, 3*eagerFrameBytes)} {
+		var buf bytes.Buffer
+		in := &frame{Kind: kindMsg, Seq: 42, From: "a", To: "b", Type: "x", StateLen: 7, Payload: payload}
+		if err := writeFrame(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		out, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Kind != in.Kind || out.Seq != in.Seq || out.From != in.From ||
+			out.To != in.To || out.Type != in.Type || out.StateLen != in.StateLen ||
+			!bytes.Equal(out.Payload, in.Payload) {
+			t.Fatalf("round trip mismatch for a %d-byte payload", len(payload))
+		}
 	}
 }
 
@@ -226,6 +236,53 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	}
 	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 4, 1, 2, 3, 4})); err == nil {
 		t.Fatal("malformed body accepted")
+	}
+	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 5, 1, 2, 3, 4})); err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	if _, err := readFrame(bytes.NewReader(binary.BigEndian.AppendUint32(nil, 2*eagerFrameBytes))); err == nil {
+		t.Fatal("truncated large frame accepted")
+	}
+}
+
+// TestHubBoundsAnnouncedFrameAlloc: a dialer that announces the largest
+// allowed frame, sends a few body bytes and hangs up must not make the
+// hub allocate the announced length.
+func TestHubBoundsAnnouncedFrameAlloc(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = hub.Close() })
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	announce := binary.BigEndian.AppendUint32(nil, maxFrameBytes)
+	if _, err := conn.Write(append(announce, "abc"...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	// The hub hangs up once the short body fails to read; wait for that.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("hub kept the truncated connection open")
+		}
+	}
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("hub allocated %d bytes for a frame that sent 3", grew)
 	}
 }
 
