@@ -179,50 +179,95 @@ func TestMontExpNegative(t *testing.T) {
 }
 
 // TestMontMultiExp cross-checks the interleaved Montgomery multi-exp
-// against the naive product of Exps, over a 1024-bit prime with
-// exponents of mixed lengths and over a 256-bit prime with 64-bit
-// exponents (the RLC settlement's shape).
+// against the naive product of Exps over a 1024-bit prime with exponents
+// of mixed lengths.
 func TestMontMultiExp(t *testing.T) {
-	for _, shape := range []struct {
-		bits    int
-		expBits func(i int) uint
-		sizes   []int
-	}{
-		{1024, func(i int) uint { return uint(8 + 40*i) }, []int{1, 5, 9}},
-		{256, func(int) uint { return 64 }, []int{1, 2, 3, 4, 5, 6}},
-	} {
-		p, err := RandPrime(rand.Reader, shape.bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mo, err := NewModulus(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range shape.sizes {
-			bases := make([]Elem, n)
-			exps := make([]*big.Int, n)
-			want := big.NewInt(1)
-			for i := range bases {
-				b, err := RandInt(rand.Reader, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exps[i], err = RandInt(rand.Reader, new(big.Int).Lsh(One, shape.expBits(i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				bases[i] = mo.ToMont(b)
-				want.Mul(want, new(big.Int).Exp(b, exps[i], p))
-				want.Mod(want, p)
-			}
-			acc, err := mo.MultiExpElem(bases, exps)
+	p, err := RandPrime(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo, err := NewModulus(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 9; n += 4 {
+		bases := make([]Elem, n)
+		exps := make([]*big.Int, n)
+		want := big.NewInt(1)
+		for i := range bases {
+			b, err := RandInt(rand.Reader, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := mo.FromMont(acc); got.Cmp(want) != 0 {
-				t.Fatalf("%d-bit MultiExpElem n=%d: got %v want %v", shape.bits, n, got, want)
+			exps[i], err = RandInt(rand.Reader, new(big.Int).Lsh(One, uint(8+40*i)))
+			if err != nil {
+				t.Fatal(err)
 			}
+			bases[i] = mo.ToMont(b)
+			want.Mul(want, new(big.Int).Exp(b, exps[i], p))
+			want.Mod(want, p)
+		}
+		acc, err := mo.MultiExpElem(bases, exps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mo.FromMont(acc); got.Cmp(want) != 0 {
+			t.Fatalf("MultiExpElem n=%d: got %v want %v", n, got, want)
+		}
+	}
+}
+
+// TestMultiExpMatchesSeparateExps checks MultiExpElem against a product of
+// separate ModExps in the RLC settlement's shape: a 256-bit prime, one to
+// six bases, 64-bit exponents. Every third trial uses negative exponents,
+// resolved the way callers of the domain do it: invert the base, then
+// raise it to |e|.
+func TestMultiExpMatchesSeparateExps(t *testing.T) {
+	p, _ := testModulus(t, 256)
+	mo, err := NewModulus(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + trial%6
+		bases := make([]Elem, n)
+		exps := make([]*big.Int, n)
+		want := big.NewInt(1)
+		for i := 0; i < n; i++ {
+			b, err := RandInt(rand.Reader, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Sign() == 0 {
+				b.SetInt64(3)
+			}
+			e, err := RandInt(rand.Reader, new(big.Int).Lsh(One, 64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trial%3 == 0 {
+				e.Neg(e)
+			}
+			t1, err := ModExp(b, e, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Mul(want, t1)
+			want.Mod(want, p)
+			if e.Sign() < 0 {
+				if b, err = ModInverse(b, p); err != nil {
+					t.Fatal(err)
+				}
+				e.Neg(e)
+			}
+			bases[i], exps[i] = mo.ToMont(b), e
+		}
+		acc, err := mo.MultiExpElem(bases, exps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mo.FromMont(acc); got.Cmp(want) != 0 {
+			t.Fatalf("trial %d: MultiExpElem mismatch", trial)
 		}
 	}
 }
