@@ -1,75 +1,97 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
-	"idgka/internal/engine"
+	"idgka"
 	"idgka/internal/meter"
-	"idgka/internal/params"
-	"idgka/internal/sigs/gq"
 	"idgka/internal/transport"
 )
 
-// newProc wires a hub, a router and n owned nodes for one in-process
-// event-driven deployment.
-func newProc(t *testing.T, n int) *proc {
+// newHub starts a hub on loopback for one test and returns its address.
+func newHub(t *testing.T) string {
 	t.Helper()
 	hub, err := transport.NewHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = hub.Close() })
-	router := transport.NewRouter(hub.Addr())
-	t.Cleanup(router.Close)
+	return hub.Addr()
+}
 
-	set := params.Default()
-	p := &proc{
-		router: router,
-		cfg:    engine.Config{Set: set.Public()},
-		ids:    make([]string, n),
-		keys:   make([]*gq.PrivateKey, n),
-		meters: make([]*meter.Meter, n),
+// nodeIDs names the first n nodes of a deployment.
+func nodeIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("node-%02d", i+1)
 	}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("node-%02d", i+1)
-		sk, err := gq.Extract(set.RSA, id)
+	return ids
+}
+
+// newProc wires a router on the hub at addr and attaches the owned nodes
+// with their members, as one gkanet process does. A proc owning fewer
+// than total nodes synchronises on the ready-barrier.
+func newProc(t *testing.T, addr string, own []string, total int) *proc {
+	t.Helper()
+	auth, err := idgka.NewAuthority()
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := transport.NewRouter(addr)
+	t.Cleanup(router.Close)
+	p := &proc{router: router, ids: own}
+	if len(own) < total {
+		p.barrierTotal = total
+	}
+	for _, id := range own {
+		link := meter.New()
+		if err := router.Attach(id, link); err != nil {
+			t.Fatal(err)
+		}
+		mb, err := auth.NewMember(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.ids[i] = id
-		p.keys[i] = sk
-		p.meters[i] = meter.New()
-		if err := router.Attach(id, p.meters[i]); err != nil {
-			t.Fatal(err)
-		}
+		p.links = append(p.links, link)
+		p.members = append(p.members, mb)
 	}
 	return p
 }
 
+// member returns the proc's member with the given id.
+func (p *proc) member(id string) *idgka.Member {
+	for _, mb := range p.members {
+		if mb.ID() == id {
+			return mb
+		}
+	}
+	return nil
+}
+
 // TestEventDrivenEstablishmentOverTCP is the acceptance path of the
 // event-driven deployment: a real hub on loopback, one TCP connection per
-// node, and every member driven ONLY by its own inbox — establishment and
-// key confirmation complete with matching fingerprints.
+// node, and every member fed ONLY from its own inbox — establishment and
+// key confirmation complete with matching keys.
 func TestEventDrivenEstablishmentOverTCP(t *testing.T) {
 	const n = 4
-	p := newProc(t, n)
-	roster := p.ids
+	ids := nodeIDs(n)
+	p := newProc(t, newHub(t), ids, n)
 
-	fps, err := p.eventDriven(roster)
+	keys, err := p.run(scenario{roster: ids, groups: 1})
 	if err != nil {
 		t.Fatalf("event-driven GKA over TCP: %v", err)
 	}
-	for i := 1; i < n; i++ {
-		if fps[i] != fps[0] {
-			t.Fatalf("node %s confirmed a different key", roster[i])
-		}
+	if len(keys) != 1 || keys[0] == nil {
+		t.Fatalf("keys = %x, want one agreed key", keys)
 	}
 	// Each member transmitted its two protocol rounds plus one
 	// confirmation digest.
-	for i, m := range p.meters {
-		if r := m.Report(); r.MsgTx != 3 {
-			t.Errorf("%s: MsgTx = %d, want 3", roster[i], r.MsgTx)
+	for i, link := range p.links {
+		if r := link.Report(); r.MsgTx != 3 {
+			t.Errorf("%s: MsgTx = %d, want 3", ids[i], r.MsgTx)
 		}
 	}
 }
@@ -77,60 +99,98 @@ func TestEventDrivenEstablishmentOverTCP(t *testing.T) {
 // TestEventDrivenDynamicLifecycleOverTCP runs the coordinator-free
 // dynamic-membership demo over a real hub: establish, admit a new TCP
 // node via Join, evict a member via Leave, confirming after every
-// re-key. Every node derives the flow parameters from its own session
-// registry; no goroutine sees more than one member.
+// re-key. Every member derives the flow parameters from its own session
+// registry; the run itself checks each re-key rotated the key.
 func TestEventDrivenDynamicLifecycleOverTCP(t *testing.T) {
 	const n = 4 // founders; one more node joins dynamically
-	p := newProc(t, n+1)
-	roster, joiner, evictee := p.ids[:n], p.ids[n], p.ids[1]
+	ids := nodeIDs(n + 1)
+	p := newProc(t, newHub(t), ids, n+1)
+	joiner, evictee := ids[n], ids[1]
 
-	fps, err := p.lifecycle(roster, joiner, evictee)
+	keys, err := p.run(scenario{roster: ids[:n], groups: 1, joiner: joiner, evictee: evictee})
 	if err != nil {
 		t.Fatalf("event-driven lifecycle over TCP: %v", err)
 	}
-	// All survivors — including the joined node — confirmed one final
-	// key; the evictee's last key (the joined group's) must differ.
-	ref, err := checkAgreement(p.ids, fps, evictee)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range p.ids {
-		if id == evictee && fps[i] == ref {
-			t.Fatal("evictee still holds the survivors' key")
-		}
+	// Every survivor — including the joined node — confirmed keys[0]; the
+	// evictee's last key (the joined group's) must differ.
+	if keys[0] == nil || bytes.Equal(p.member(evictee).GroupKey(), keys[0]) {
+		t.Fatal("evictee still holds the survivors' key")
 	}
 }
 
 // TestEventDrivenCrashRecoveryOverTCP is the fault-tolerance acceptance
 // path: a node's connection dies without warning; the hub settles every
 // delivery blocked on it and deals peer-down frames to the survivors,
-// which abort whatever the death wedged, evict the dead node via the
-// paper's Leave protocol — flow parameters derived from each node's own
+// which cancel whatever the death wedged, evict the dead node via the
+// paper's Leave protocol — flow parameters derived from each member's own
 // committed session, no coordinator — and converge on a confirmed fresh
 // key the victim does not hold. At phase "established" the victim dies
 // before the confirmation round, so every survivor's confirm flow is
-// genuinely wedged until the peer-down event aborts it.
+// genuinely wedged until the peer-down notice cancels it.
 func TestEventDrivenCrashRecoveryOverTCP(t *testing.T) {
 	for _, phase := range []string{phaseEstablished, phaseConfirmed} {
 		t.Run(phase, func(t *testing.T) {
 			const n = 4
-			p := newProc(t, n)
-			victim := p.ids[1]
+			ids := nodeIDs(n)
+			p := newProc(t, newHub(t), ids, n)
+			victim := ids[1]
 
-			fps, err := p.crashScenario(p.ids, victim, phase)
+			keys, err := p.run(scenario{roster: ids, groups: 1, victim: victim, phase: phase})
 			if err != nil {
 				t.Fatalf("crash scenario (%s): %v", phase, err)
 			}
-			ref, err := checkAgreement(p.ids, fps, victim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, id := range p.ids {
-				if id == victim && fps[i] == ref {
-					t.Fatal("crashed node still holds the survivors' key")
-				}
+			if keys[0] == nil || bytes.Equal(p.member(victim).GroupKey(), keys[0]) {
+				t.Fatal("crashed node still holds the survivors' key")
 			}
 		})
+	}
+}
+
+// TestReadyBarrierEvicteeOnlyProcessOverTCP splits the dynamic demo over
+// two processes sharing one hub, the second owning only the evictee. Both
+// pass the ready-barrier; the survivors' process reports the final key,
+// and the evictee's process reports no group at all (it owns no member of
+// the final stage), rather than a zero fingerprint.
+func TestReadyBarrierEvicteeOnlyProcessOverTCP(t *testing.T) {
+	const n = 4
+	ids := nodeIDs(n + 1)
+	joiner, evictee := ids[n], ids[1]
+	addr := newHub(t)
+	var rest []string
+	for _, id := range ids {
+		if id != evictee {
+			rest = append(rest, id)
+		}
+	}
+	procs := []*proc{newProc(t, addr, rest, n+1), newProc(t, addr, []string{evictee}, n+1)}
+	sc := scenario{roster: ids[:n], groups: 2, joiner: joiner, evictee: evictee}
+
+	keys := make([][][]byte, len(procs))
+	errs := make([]error, len(procs))
+	var wg sync.WaitGroup
+	for i, p := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keys[i], errs[i] = p.run(sc)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("process %d: %v", i, err)
+		}
+	}
+	for g := 0; g < sc.groups; g++ {
+		if keys[0][g] == nil {
+			t.Fatalf("g%02d: survivors' process reported no key", g)
+		}
+		if keys[1][g] != nil {
+			t.Fatalf("g%02d: evictee-only process reported key %x", g, keys[1][g])
+		}
+		if bytes.Equal(procs[1].member(evictee).GroupKey(), keys[0][g]) {
+			t.Fatalf("g%02d: evictee still holds the survivors' key", g)
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ type Outbound struct {
 // SendAll routes a machine's outbound messages over a medium: broadcasts
 // for empty To, unicasts otherwise, preserving the state-transfer byte
 // accounting. It is the single dispatch point shared by the lockstep
-// drivers, cmd/gkanet and tests.
+// drivers and tests.
 func SendAll(m netsim.Medium, from string, outs []Outbound) error {
 	for _, o := range outs {
 		var err error

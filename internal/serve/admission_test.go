@@ -215,7 +215,7 @@ func TestStatsAndMetricsConsistencyUnderLoad(t *testing.T) {
 			roster := []string{ids[g%4], ids[(g+1)%4], ids[(g+2)%4]}
 			sid := fmt.Sprintf("cons/%d/%02d", round, g)
 			lb.addRoster(sid, roster)
-			all[g] = startGroup(t, h, sid, roster, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
+			all[g] = startGroup(t, h, sid, roster, func(mb *idgka.Member) (*idgka.Session, error) {
 				return mb.NewSession(sid, roster)
 			})
 		}

@@ -112,14 +112,39 @@ func (l *loopback) tx(from string, p idgka.Packet) error {
 	return nil
 }
 
+// StartGroup starts one run of flow sid on each hosted member in ids;
+// start builds the member's session (reading mb.ID() when it needs the
+// member's identity). If any Start fails, the runs already started are
+// cancelled, so a failed group leaves no live state behind, and the error
+// is returned (errors.Is(err, ErrOverloaded) for an admission shed).
+func StartGroup(h *Host, sid string, ids []string, start func(mb *idgka.Member) (*idgka.Session, error)) ([]*Run, error) {
+	runs := make([]*Run, 0, len(ids))
+	for _, id := range ids {
+		r, err := h.Start(id, sid, start)
+		if err != nil {
+			for _, started := range runs {
+				started.Cancel()
+			}
+			return nil, err
+		}
+		runs = append(runs, r)
+	}
+	return runs, nil
+}
+
 // SettleGroups blocks until every run of every group settles (or the
 // budget expires), verifies each group committed one agreed non-nil key,
-// and returns the keys per group. It is the settle-and-cross-check step
-// every multi-group driver needs (the bench ladder, gkanet -serve).
+// and returns the keys per group. A group with no runs (a process that
+// hosts none of its members) is skipped and its key left nil. It is the
+// settle-and-cross-check step every multi-group driver needs (the bench
+// ladder, the soak harness, cmd/gkanet).
 func SettleGroups(what string, groups [][]*Run, budget time.Duration) ([][]byte, error) {
 	deadline := time.Now().Add(budget)
 	keys := make([][]byte, len(groups))
 	for g, runs := range groups {
+		if len(runs) == 0 {
+			continue
+		}
 		for _, r := range runs {
 			select {
 			case <-r.Done():
@@ -209,15 +234,12 @@ func BenchmarkGroups(counts []int, opt BenchOptions) ([]GroupStat, error) {
 		for g, roster := range rosters {
 			sid := fmt.Sprintf("bench/g%04d/est", g)
 			lb.addRoster(sid, roster)
-			for _, id := range roster {
-				r, err := host.Start(id, sid, func(mb *idgka.Member) (*idgka.Session, error) {
-					return mb.NewSession(sid, roster)
-				})
-				if err != nil {
-					host.Close()
-					return nil, err
-				}
-				est[g] = append(est[g], r)
+			est[g], err = StartGroup(host, sid, roster, func(mb *idgka.Member) (*idgka.Session, error) {
+				return mb.NewSession(sid, roster)
+			})
+			if err != nil {
+				host.Close()
+				return nil, err
 			}
 		}
 		if _, err := SettleGroups("establish", est, 2*time.Minute); err != nil {
@@ -235,15 +257,12 @@ func BenchmarkGroups(counts []int, opt BenchOptions) ([]GroupStat, error) {
 			evict := roster[len(roster)-1]
 			survivors := roster[:len(roster)-1]
 			lb.addRoster(sid, survivors)
-			for _, id := range survivors {
-				r, err := host.Start(id, sid, func(mb *idgka.Member) (*idgka.Session, error) {
-					return mb.LeaveSession(sid, base, []string{evict})
-				})
-				if err != nil {
-					host.Close()
-					return nil, err
-				}
-				rekey[g] = append(rekey[g], r)
+			rekey[g], err = StartGroup(host, sid, survivors, func(mb *idgka.Member) (*idgka.Session, error) {
+				return mb.LeaveSession(sid, base, []string{evict})
+			})
+			if err != nil {
+				host.Close()
+				return nil, err
 			}
 		}
 		if _, err := SettleGroups("re-key", rekey, 2*time.Minute); err != nil {

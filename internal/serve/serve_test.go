@@ -38,18 +38,11 @@ func newTestHost(t *testing.T, pool int, cfg Config) (*Host, *loopback, []string
 
 // startGroup launches one flow per roster member and returns the runs.
 func startGroup(t *testing.T, h *Host, sid string, roster []string,
-	start func(mb *idgka.Member, id string) (*idgka.Session, error)) []*Run {
+	start func(mb *idgka.Member) (*idgka.Session, error)) []*Run {
 	t.Helper()
-	runs := make([]*Run, 0, len(roster))
-	for _, id := range roster {
-		id := id
-		r, err := h.Start(id, sid, func(mb *idgka.Member) (*idgka.Session, error) {
-			return start(mb, id)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, r)
+	runs, err := StartGroup(h, sid, roster, start)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return runs
 }
@@ -91,7 +84,7 @@ func TestHostMultiGroupEstablish(t *testing.T) {
 		roster := []string{ids[g%4], ids[(g+1)%4], ids[(g+2)%4]}
 		sid := fmt.Sprintf("mg/%02d", g)
 		lb.addRoster(sid, roster)
-		all[g] = startGroup(t, h, sid, roster, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
+		all[g] = startGroup(t, h, sid, roster, func(mb *idgka.Member) (*idgka.Session, error) {
 			return mb.NewSession(sid, roster)
 		})
 	}
@@ -132,7 +125,7 @@ func TestHostChurn(t *testing.T) {
 		sid := fmt.Sprintf("churn/%02d/est", g)
 		lb.addRoster(sid, rosters[g])
 		roster := rosters[g]
-		est[g] = startGroup(t, h, sid, roster, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
+		est[g] = startGroup(t, h, sid, roster, func(mb *idgka.Member) (*idgka.Session, error) {
 			return mb.NewSession(sid, roster)
 		})
 	}
@@ -150,8 +143,8 @@ func TestHostChurn(t *testing.T) {
 			sid := fmt.Sprintf("churn/%02d/join", g)
 			grown := append(append([]string(nil), roster...), joiner)
 			lb.addRoster(sid, grown)
-			runs := startGroup(t, h, sid, grown, func(mb *idgka.Member, id string) (*idgka.Session, error) {
-				if id == joiner {
+			runs := startGroup(t, h, sid, grown, func(mb *idgka.Member) (*idgka.Session, error) {
+				if mb.ID() == joiner {
 					return mb.JoinSession(sid, "", roster, joiner)
 				}
 				return mb.JoinSession(sid, base, nil, joiner)
@@ -163,7 +156,7 @@ func TestHostChurn(t *testing.T) {
 			// Confirm the grown group.
 			csid := fmt.Sprintf("churn/%02d/cfm", g)
 			lb.addRoster(csid, grown)
-			cruns := startGroup(t, h, csid, grown, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
+			cruns := startGroup(t, h, csid, grown, func(mb *idgka.Member) (*idgka.Session, error) {
 				return mb.ConfirmSession(csid, sid)
 			})
 			if !bytes.Equal(awaitGroup(t, fmt.Sprintf("churn confirm %d", g), cruns), key) {
@@ -174,7 +167,7 @@ func TestHostChurn(t *testing.T) {
 			evict := roster[1]
 			survivors := []string{roster[0], roster[2]}
 			lb.addRoster(sid, survivors)
-			runs := startGroup(t, h, sid, survivors, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
+			runs := startGroup(t, h, sid, survivors, func(mb *idgka.Member) (*idgka.Session, error) {
 				return mb.LeaveSession(sid, base, []string{evict})
 			})
 			key := awaitGroup(t, fmt.Sprintf("churn leave %d", g), runs)
@@ -191,7 +184,7 @@ func TestHostChurn(t *testing.T) {
 			}
 			sid := fmt.Sprintf("churn/%02d/evict", g)
 			lb.addRoster(sid, survivors)
-			runs := startGroup(t, h, sid, survivors, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
+			runs := startGroup(t, h, sid, survivors, func(mb *idgka.Member) (*idgka.Session, error) {
 				return mb.LeaveSession(sid, base, []string{victim})
 			})
 			key := awaitGroup(t, fmt.Sprintf("churn evict %d", g), runs)
@@ -309,5 +302,38 @@ func TestBenchmarkGroupsSmoke(t *testing.T) {
 		if s.EstablishPerSec <= 0 || s.RekeyPerSec <= 0 {
 			t.Fatalf("non-positive throughput: %+v", s)
 		}
+	}
+}
+
+// TestSettleGroupsSkipsEmptyGroup: a group with no runs (a process that
+// hosts none of its members) is skipped with a nil key instead of
+// panicking, while the other groups still settle and cross-check.
+func TestSettleGroupsSkipsEmptyGroup(t *testing.T) {
+	h, _, ids := newTestHost(t, 3, Config{})
+	runs := startGroup(t, h, "settle/est", ids, func(mb *idgka.Member) (*idgka.Session, error) {
+		return mb.NewSession("settle/est", ids)
+	})
+	keys, err := SettleGroups("establish", [][]*Run{nil, runs, {}}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 3 || keys[0] != nil || keys[1] == nil || keys[2] != nil {
+		t.Fatalf("keys = %x, want nil, agreed key, nil", keys)
+	}
+}
+
+// TestStartGroupCancelsOnFailure: when one Start of a group fails, the
+// runs StartGroup already started are cancelled, leaving no live state.
+func TestStartGroupCancelsOnFailure(t *testing.T) {
+	h, _, ids := newTestHost(t, 3, Config{})
+	roster := append(append([]string(nil), ids...), "sv-unknown")
+	runs, err := StartGroup(h, "partial/est", roster, func(mb *idgka.Member) (*idgka.Session, error) {
+		return mb.NewSession("partial/est", roster)
+	})
+	if err == nil || runs != nil {
+		t.Fatalf("StartGroup with an unhosted member: runs=%v err=%v", runs, err)
+	}
+	if live := h.Stats().LiveRuns; live != 0 {
+		t.Fatalf("%d runs left live after a failed StartGroup", live)
 	}
 }

@@ -290,56 +290,50 @@ func runSoakOp(host *Host, lb *loopback, ids []string, size, g int, class string
 	t0 := time.Now()
 	out := soakOp{class: class}
 
-	sidEst := fmt.Sprintf("soak/op%06d/est", g)
-	lb.addRoster(sidEst, roster)
-	est, shed, err := startSoakGroup(host, sidEst, roster, func(mb *idgka.Member) (*idgka.Session, error) {
-		return mb.NewSession(sidEst, roster)
-	})
-	if shed {
-		out.shed = true
-		return out
+	// stage runs one flow on every member of group and settles it; false
+	// ends the operation, marked shed or failed.
+	stage := func(sid string, group []string, start func(mb *idgka.Member) (*idgka.Session, error)) bool {
+		lb.addRoster(sid, group)
+		runs, err := StartGroup(host, sid, group, start)
+		if errors.Is(err, ErrOverloaded) {
+			out.shed = true
+			return false
+		}
+		if err == nil {
+			_, err = SettleGroups("soak", [][]*Run{runs}, budget)
+		}
+		if err != nil {
+			out.failed = true
+			return false
+		}
+		return true
 	}
-	if err != nil || settleSoak(est, budget) != nil {
-		out.failed = true
+
+	sidEst := fmt.Sprintf("soak/op%06d/est", g)
+	if !stage(sidEst, roster, func(mb *idgka.Member) (*idgka.Session, error) {
+		return mb.NewSession(sidEst, roster)
+	}) {
 		return out
 	}
 
+	ok := true
 	switch class {
 	case "rekey":
 		sid := fmt.Sprintf("soak/op%06d/leave", g)
 		evict := roster[size-1]
-		survivors := roster[:size-1]
-		lb.addRoster(sid, survivors)
-		runs, shed, err := startSoakGroup(host, sid, survivors, func(mb *idgka.Member) (*idgka.Session, error) {
+		ok = stage(sid, roster[:size-1], func(mb *idgka.Member) (*idgka.Session, error) {
 			return mb.LeaveSession(sid, sidEst, []string{evict})
 		})
-		if shed {
-			out.shed = true
-			return out
-		}
-		if err != nil || settleSoak(runs, budget) != nil {
-			out.failed = true
-			return out
-		}
 	case "join":
 		joiner := ids[(g+size)%pool]
 		sid := fmt.Sprintf("soak/op%06d/join", g)
 		grown := append(append([]string(nil), roster...), joiner)
-		lb.addRoster(sid, grown)
-		runs, shed, err := startSoakGroupBy(host, sid, grown, func(mb *idgka.Member, id string) (*idgka.Session, error) {
-			if id == joiner {
+		ok = stage(sid, grown, func(mb *idgka.Member) (*idgka.Session, error) {
+			if mb.ID() == joiner {
 				return mb.JoinSession(sid, "", roster, joiner)
 			}
 			return mb.JoinSession(sid, sidEst, nil, joiner)
 		})
-		if shed {
-			out.shed = true
-			return out
-		}
-		if err != nil || settleSoak(runs, budget) != nil {
-			out.failed = true
-			return out
-		}
 	case "crash":
 		victim := roster[size-1]
 		survivors := roster[:size-1]
@@ -349,59 +343,14 @@ func runSoakOp(host *Host, lb *loopback, ids []string, size, g int, class string
 			_ = host.Deliver(id, idgka.PeerDownPacket(victim))
 		}
 		sid := fmt.Sprintf("soak/op%06d/evict", g)
-		lb.addRoster(sid, survivors)
-		runs, shed, err := startSoakGroup(host, sid, survivors, func(mb *idgka.Member) (*idgka.Session, error) {
+		ok = stage(sid, survivors, func(mb *idgka.Member) (*idgka.Session, error) {
 			return mb.LeaveSession(sid, sidEst, []string{victim})
 		})
-		if shed {
-			out.shed = true
-			return out
-		}
-		if err != nil || settleSoak(runs, budget) != nil {
-			out.failed = true
-			return out
-		}
 	}
-	out.elapsed = time.Since(t0)
+	if ok {
+		out.elapsed = time.Since(t0)
+	}
 	return out
-}
-
-// startSoakGroup starts one flow per roster member under sid. An
-// ErrOverloaded from any member sheds the whole group: runs already
-// started are cancelled and shed=true returns with no live state.
-func startSoakGroup(host *Host, sid string, roster []string,
-	start func(mb *idgka.Member) (*idgka.Session, error)) (runs []*Run, shed bool, err error) {
-	return startSoakGroupBy(host, sid, roster, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
-		return start(mb)
-	})
-}
-
-func startSoakGroupBy(host *Host, sid string, roster []string,
-	start func(mb *idgka.Member, id string) (*idgka.Session, error)) (runs []*Run, shed bool, err error) {
-	for _, id := range roster {
-		id := id
-		r, err := host.Start(id, sid, func(mb *idgka.Member) (*idgka.Session, error) {
-			return start(mb, id)
-		})
-		if err != nil {
-			for _, done := range runs {
-				done.Cancel()
-			}
-			if errors.Is(err, ErrOverloaded) {
-				return nil, true, nil
-			}
-			return nil, false, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, false, nil
-}
-
-// settleSoak waits for every run of one admitted operation stage and
-// checks the group agreed on one non-nil key.
-func settleSoak(runs []*Run, budget time.Duration) error {
-	_, err := SettleGroups("soak", [][]*Run{runs}, budget)
-	return err
 }
 
 // exactQuantileMS computes the q-quantile of ds exactly (nearest-rank on

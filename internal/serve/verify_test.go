@@ -25,7 +25,7 @@ func TestHostAmortizedVerify(t *testing.T) {
 		roster := []string{ids[g%pool], ids[(g+1)%pool], ids[(g+2)%pool]}
 		sid := fmt.Sprintf("av/%02d", g)
 		lb.addRoster(sid, roster)
-		all[g] = startGroup(t, h, sid, roster, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
+		all[g] = startGroup(t, h, sid, roster, func(mb *idgka.Member) (*idgka.Session, error) {
 			return mb.NewSession(sid, roster)
 		})
 	}
