@@ -118,7 +118,11 @@ func KeyFromEdgeMont(mo *mathx.Modulus, i int, edge mathx.Elem, xs []mathx.Elem)
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("bdkey: index %d out of ring of %d", i, n)
 	}
-	k := mo.ExpElem(edge, big.NewInt(int64(n)))
+	// n is public: the variable-time chain costs ~log2(n) squarings.
+	k, err := mo.MultiExpElem([]mathx.Elem{edge}, []*big.Int{big.NewInt(int64(n))})
+	if err != nil {
+		return nil, err
+	}
 	if n > 1 {
 		prefix := append(mathx.Elem(nil), xs[i]...)
 		acc := append(mathx.Elem(nil), prefix...)

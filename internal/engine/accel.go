@@ -39,9 +39,9 @@ type AccelConfig struct {
 	Precompute bool
 	// VerifyWorkers bounds the worker pool that processes independent
 	// incoming contributions concurrently: the round-2 Z and T products
-	// chunk across peers, and the finish-phase checks
-	// (signature batch, Lemma 1, key computation) run as parallel tasks.
-	// 0 or 1 selects the exact sequential path.
+	// run side by side, and the finish-phase checks (signature batch,
+	// Lemma 1, key computation) run as parallel tasks. 0 or 1 selects
+	// the exact sequential path.
 	VerifyWorkers int
 	// BatchVerifier, when non-nil, defers the finish-phase GQ batch check
 	// to a host-level claim queue (see the interface doc). Verdicts,
@@ -53,8 +53,7 @@ type AccelConfig struct {
 // *pool runs tasks sequentially with fail-fast semantics — the exact
 // legacy control flow — so call sites never branch on the accel mode.
 type pool struct {
-	workers int
-	sem     chan struct{}
+	sem chan struct{}
 }
 
 // newPool returns nil (sequential execution) unless workers > 1.
@@ -62,20 +61,7 @@ func newPool(workers int) *pool {
 	if workers <= 1 {
 		return nil
 	}
-	return &pool{workers: workers, sem: make(chan struct{}, workers)}
-}
-
-// split divides the worker budget evenly across `tasks` concurrent Run
-// tasks that EACH nest their own helper goroutines.
-func (p *pool) split(tasks int) int {
-	if p == nil {
-		return 1
-	}
-	w := p.workers / tasks
-	if w < 1 {
-		return 1
-	}
-	return w
+	return &pool{sem: make(chan struct{}, workers)}
 }
 
 // Run executes the tasks. Sequentially (nil pool) it stops at the first

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sort"
 	"strings"
 	"sync"
 
@@ -251,7 +252,7 @@ type Machine struct {
 	pool *pool
 
 	// gvCache holds per-roster claim builders (cached identity products)
-	// for the deferred batch-verification path; rosters recur across
+	// for the finish phase's GQ batch check; rosters recur across
 	// rounds and sessions, so the hashing and inversion are one-off. It
 	// holds at most maxClaimBuilders entries and has its own lock because
 	// finish phases of concurrent flows touch it.
@@ -317,11 +318,16 @@ func NewMachine(cfg Config, sk *gq.PrivateKey, m *meter.Meter) (*Machine, error)
 	}, nil
 }
 
-// claimBuilder returns the cached per-roster claim builder for the
-// deferred batch-verification path, constructing it (identity digests,
-// their product, its inverse — no fixed-base table) on first use.
+// claimBuilder returns the cached claim builder for a roster — the GQ
+// batch check of every finish phase, in-line or deferred — constructing
+// it (identity digests, their product, its inverse — no fixed-base
+// table) on first use. The cache is keyed by the roster as a set: the
+// identity product does not depend on ring order, so a reordered ring
+// reuses its builder.
 func (mc *Machine) claimBuilder(roster []string) (*gq.GroupVerifier, error) {
-	key := strings.Join(roster, "\x00")
+	set := append([]string(nil), roster...)
+	sort.Strings(set)
+	key := strings.Join(set, "\x00")
 	mc.gvMu.Lock()
 	defer mc.gvMu.Unlock()
 	if gv := mc.gvCache[key]; gv != nil {

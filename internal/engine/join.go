@@ -237,7 +237,11 @@ func (f *joinFlow) advanceJoiner() ([]Outbound, []Event, error) {
 			return outs, nil, Retryable(fmt.Errorf("engine: joiner rejects U_n: %w", err))
 		}
 		mc.m.SignVer(meter.SchemeGQ, 1)
-		f.kDH = new(big.Int).Exp(f.znFromLast, f.rJoin, sg.P)
+		kDH, err := expP(mc, f.znFromLast, f.rJoin)
+		if err != nil {
+			return outs, nil, err
+		}
+		f.kDH = kDH
 		mc.m.Exp(1)
 	}
 	if f.haveFwd && f.kDH != nil && f.kStar == nil {
@@ -339,14 +343,17 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 // the session state tables, and commit.
 func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 	mc := f.mc
-	sg := mc.cfg.Set.Schnorr
 	g := f.base
 	var outs []Outbound
 	if f.haveM1 && !f.sentLast {
 		if err := f.verifyM1(); err != nil {
 			return nil, nil, err
 		}
-		f.kDH = new(big.Int).Exp(f.zJoin, g.R, sg.P)
+		kDH, err := expP(mc, f.zJoin, g.R)
+		if err != nil {
+			return nil, nil, err
+		}
+		f.kDH = kDH
 		mc.m.Exp(1)
 		cipher, err := sym.NewFromBig(g.Key)
 		if err != nil {

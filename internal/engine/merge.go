@@ -220,7 +220,11 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 			return outs, nil, Retryable(fmt.Errorf("engine: %s rejects merge advert: %w", mc.id, err))
 		}
 		mc.m.SignVer(meter.SchemeGQ, 1)
-		f.kDH = new(big.Int).Exp(a.zNew, f.rNew, sg.P)
+		kDH, err := expP(mc, a.zNew, f.rNew)
+		if err != nil {
+			return outs, nil, err
+		}
+		f.kDH = kDH
 		mc.m.Exp(1)
 		kStar, err := f.foldOwnKey(a)
 		if err != nil {

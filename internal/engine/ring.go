@@ -29,10 +29,11 @@ type ringState struct {
 
 	bigZ, bigT, c *big.Int
 
-	// edge holds z_prev^r, the second of the two directed edge powers
-	// round 2 raises to form X: equation (3)'s dominant z_prev^{n·r} term
-	// then collapses to edge^n (~log2 n squarings) in finish.
-	edge *big.Int
+	// edge holds z_prev^r in the Montgomery domain of p, the second of
+	// the two directed edge powers round 2 raises to form X: equation
+	// (3)'s dominant z_prev^{n·r} term then collapses to edge^n (~log2 n
+	// squarings) in finish.
+	edge mathx.Elem
 }
 
 func newRingState(roster []string, self string) (*ringState, error) {
@@ -98,41 +99,48 @@ func (rs *ringState) recordRound2(msg *netsim.Message) error {
 // m'_i = U_i ‖ X_i ‖ s_i.
 func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	sg := mc.cfg.Set.Schnorr
+	mo, err := schnorrMont(mc)
+	if err != nil {
+		return nil, err
+	}
 	n := rs.n()
 	zNext := rs.z[rs.roster[(rs.self+1)%n]]
 	zPrev := rs.z[rs.roster[(rs.self-1+n)%n]]
 	// Edge-carrying round 2: raise the two directed DH edges separately
-	// and keep b = z_prev^r for the key computation, where it collapses
-	// equation (3)'s z_prev^{n·r} to b^n. X is bit-identical to
-	// bdkey.XValue's, the session's total exponentiation count is
-	// unchanged (the saving lands in finish), and the meter charges the
-	// same logical operation.
-	a := new(big.Int).Exp(zNext, rs.r, sg.P)
-	b := new(big.Int).Exp(zPrev, rs.r, sg.P)
-	x, err := bdkey.XFromPowers(a, b, sg.P)
+	// on the Montgomery ladder and keep b = z_prev^r for the key
+	// computation, where it collapses equation (3)'s z_prev^{n·r} to b^n.
+	// X is bit-identical to bdkey.XValue's, the session's total
+	// exponentiation count is unchanged (the saving lands in finish), and
+	// the meter charges the same logical operation.
+	a := mo.ExpElem(mo.ToMont(zNext), rs.r)
+	b := mo.ExpElem(mo.ToMont(zPrev), rs.r)
+	x, err := bdkey.XFromPowers(mo.FromMont(a), mo.FromMont(b), sg.P)
 	if err != nil {
 		return nil, err
 	}
 	rs.edge = b
 	mc.m.Exp(1)
 
-	// Z = Π z_i mod p, T = Π t_i mod n, c = H(T, Z). The two products
-	// range over independent per-peer contributions, so the worker pool
-	// computes them concurrently (and chunks each across peers for large
-	// rings); the sequential path is the exact legacy order.
+	// Z = Π z_i mod p, T = Π t_i mod n, c = H(T, Z). Both products are
+	// division-free Montgomery folds over independent per-peer
+	// contributions, so an active worker pool computes them concurrently.
 	zs := make([]*big.Int, 0, n)
 	ts := make([]*big.Int, 0, n)
 	for _, id := range rs.roster {
 		zs = append(zs, rs.z[id])
 		ts = append(ts, rs.t[id])
 	}
+	moN := mc.cfg.Set.RSA.Mont()
+	if moN == nil {
+		return nil, errors.New("engine: GQ modulus has no Montgomery form")
+	}
 	_ = mc.pool.Run(
 		func() error {
-			rs.bigZ = mathx.ProductModParallel(zs, sg.P, mc.pool.split(2))
+			rs.bigZ = mo.Product(zs)
 			return nil
 		},
 		func() error {
-			rs.bigT = mathx.ProductModParallel(ts, mc.cfg.Set.RSA.N, mc.pool.split(2))
+			rs.bigT = moN.Product(ts)
 			return nil
 		},
 	)
@@ -166,8 +174,9 @@ func (rs *ringState) submitClaim(mc *Machine, bv BatchVerifier, responses []*big
 // on the X values, and the BD key computation (equation 3), returning the
 // committed group view.
 //
-// The three checks consume disjoint inputs (s values; X values; edge and
-// X values), so with an active worker pool they run as concurrent tasks.
+// The three checks only read their inputs (s values; the X values'
+// Montgomery images; the edge), so with an active worker pool they run
+// as concurrent tasks.
 // Sequentially the tasks run in the exact legacy order with fail-fast
 // semantics, keeping the lockstep drivers' operation accounting
 // bit-identical; in parallel mode a failing check no longer
@@ -175,30 +184,39 @@ func (rs *ringState) submitClaim(mc *Machine, bv BatchVerifier, responses []*big
 // key-computation Exp that the sequential path skips (values and
 // verdicts are unaffected).
 func (rs *ringState) finish(mc *Machine) (*Group, error) {
-	sg := mc.cfg.Set.Schnorr
+	mo, err := schnorrMont(mc)
+	if err != nil {
+		return nil, err
+	}
 	n := rs.n()
-
 	responses := make([]*big.Int, 0, n)
 	for _, id := range rs.roster {
 		responses = append(responses, rs.s[id])
 	}
-	xsOrdered := make([]*big.Int, n)
+	// The X values convert into the Montgomery domain once, in ring
+	// order; the Lemma-1 check and the key assembly both read them there.
+	xsMont := make([]mathx.Elem, n)
 	for i, id := range rs.roster {
-		xsOrdered[i] = rs.x[id]
+		xsMont[i] = mo.ToMont(rs.x[id])
 	}
 	var key *big.Int
-	err := mc.pool.Run(
-		// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z). With a host
-		// batch verifier, the check is submitted as an algebraic claim
-		// (equivalent because this member derived c = H(T, Z) itself) and
-		// settles together with other groups' claims; the verdict and the
-		// meter charge are the same either way.
+	err = mc.pool.Run(
+		// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z), checked
+		// through the per-roster cached claim builder (no per-round
+		// identity hashing or inversion). With a host batch verifier, the
+		// check is submitted as an algebraic claim (equivalent because
+		// this member derived c = H(T, Z) itself) and settles together
+		// with other groups' claims; the verdict and the meter charge are
+		// the same either way.
 		func() error {
 			var err error
 			if bv := mc.cfg.Accel.BatchVerifier; bv != nil {
 				err = rs.submitClaim(mc, bv, responses)
 			} else {
-				err = gq.BatchVerify(gq.ParamsFrom(mc.cfg.Set.RSA), rs.roster, responses, rs.c, rs.bigZ)
+				var gv *gq.GroupVerifier
+				if gv, err = mc.claimBuilder(rs.roster); err == nil {
+					err = gv.BatchVerify(responses, rs.c, rs.bigZ)
+				}
 			}
 			mc.m.SignVer(meter.SchemeGQ, 1)
 			if err != nil {
@@ -208,27 +226,18 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 		},
 		// Lemma 1: Π X_i ≡ 1 (mod p).
 		func() error {
-			if err := bdkey.CheckLemma1(xsOrdered, sg.P); err != nil {
+			if err := bdkey.CheckLemma1Mont(mo, xsMont); err != nil {
 				return Retryable(err)
 			}
 			return nil
 		},
 		// Equation (3): the shared key, assembled entirely in the
-		// Montgomery domain from the edge power round 2 carried over: the
-		// X values convert in once, edge^n replaces the full-width
-		// z_prev^{n·r} exponentiation, and the descending-exponent chain
-		// telescopes into prefix products.
+		// Montgomery domain from the edge power round 2 carried over:
+		// edge^n replaces the full-width z_prev^{n·r} exponentiation, and
+		// the descending-exponent chain telescopes into prefix products.
 		func() error {
-			mo := sg.Mont()
-			if mo == nil {
-				return errors.New("engine: Schnorr modulus has no Montgomery form")
-			}
-			xsMont := make([]mathx.Elem, n)
-			for i, x := range xsOrdered {
-				xsMont[i] = mo.ToMont(x)
-			}
 			var err error
-			key, err = bdkey.KeyFromEdgeMont(mo, rs.self, mo.ToMont(rs.edge), xsMont)
+			key, err = bdkey.KeyFromEdgeMont(mo, rs.self, rs.edge, xsMont)
 			if err != nil {
 				return err
 			}
@@ -251,4 +260,25 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	}
 	g.Key = key
 	return g, nil
+}
+
+// schnorrMont returns the Montgomery context of the Schnorr prime p, the
+// domain of every 1024-bit keying power the engine raises.
+func schnorrMont(mc *Machine) (*mathx.Modulus, error) {
+	mo := mc.cfg.Set.Schnorr.Mont()
+	if mo == nil {
+		return nil, errors.New("engine: Schnorr modulus has no Montgomery form")
+	}
+	return mo, nil
+}
+
+// expP returns base^e mod p on the Montgomery ladder (ExpElem), whose
+// square/multiply sequence depends only on e's word length, for the
+// secret-exponent DH powers of the dynamic flows.
+func expP(mc *Machine, base, e *big.Int) (*big.Int, error) {
+	mo, err := schnorrMont(mc)
+	if err != nil {
+		return nil, err
+	}
+	return mo.FromMont(mo.ExpElem(mo.ToMont(base), e)), nil
 }

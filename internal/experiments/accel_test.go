@@ -22,6 +22,8 @@ func TestAccelBenchShape(t *testing.T) {
 		"initial/key-computation",
 		"initial/member-pipeline",
 		"schnorr/fixed-base-exp",
+		"mont/mul",
+		"mont/single-exp",
 		"mont/var-base-exp",
 		"gq/respond",
 		"bd/key-assembly",

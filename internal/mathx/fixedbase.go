@@ -3,16 +3,14 @@ package mathx
 import (
 	"errors"
 	"math/big"
-	"sync"
 )
 
 // This file is the bottom of the crypto acceleration layer: windowed
-// fixed-base precomputation (the BGMW radix-2^w method), simultaneous
-// multi-exponentiation (the generalised Shamir trick), and chunked
-// modular products for worker pools. Everything here is mathematically
-// transparent — accelerated paths return bit-identical values to their
-// naive counterparts, so operation meters and protocol transcripts are
-// unaffected by whether a table is attached.
+// fixed-base precomputation (the BGMW radix-2^w method) over the
+// Montgomery engine. Everything here is mathematically transparent — the
+// table returns bit-identical values to the naive exponentiation, so
+// operation meters and protocol transcripts are unaffected by whether a
+// table is attached.
 
 // DefaultWindow is the radix width used by Precompute helpers: 2^6 digits
 // balance table size (~ceil(bits/6)·63 entries) against the number of
@@ -21,21 +19,27 @@ const DefaultWindow = 6
 
 // FixedBaseTable holds the precomputed powers of one long-lived base —
 // a group generator or an identity key — enabling exponentiation in
-// ~ceil(maxBits/window) modular multiplications with NO squarings:
+// ~ceil(maxBits/window) Montgomery multiplications with NO squarings:
 //
-//	rows[i][j] = base^(j << (window·i)) mod m
+//	entry(i, j) = base^(j << (window·i)) mod m,  1 <= j < 2^window
 //
-// so base^e = Π_i rows[i][digit_i(e)] where digit_i is the i-th radix-2^w
-// digit of e. A table is immutable after construction and safe for
-// concurrent use.
+// so base^e = Π_i entry(i, digit_i(e)) where digit_i is the i-th
+// radix-2^w digit of e. Entries are stored once, as Montgomery-domain
+// limbs in one flat slab (no big.Int rows), built by chains of Montgomery
+// multiplications and walked without leaving the domain. The modulus
+// must be odd (every modulus in the protocols is). A table is immutable
+// after construction and safe for concurrent use.
 type FixedBaseTable struct {
-	base, mod *big.Int
-	window    uint
-	maxBits   int
-	rows      [][]*big.Int
+	base    *big.Int // base mod m, for the big.Int.Exp fallback
+	mo      *Modulus
+	window  uint
+	maxBits int
+	// slab holds the entries row by row, 2^window − 1 entries of mo.k
+	// words per row (digit 0 needs no entry).
+	slab []big.Word
 }
 
-// NewFixedBaseTable precomputes the powers of base modulo mod for
+// NewFixedBaseTable precomputes the powers of base modulo an odd mod for
 // exponents up to maxBits bits using radix-2^window digits.
 func NewFixedBaseTable(base, mod *big.Int, maxBits int, window uint) (*FixedBaseTable, error) {
 	if mod == nil || mod.Cmp(One) <= 0 {
@@ -50,27 +54,36 @@ func NewFixedBaseTable(base, mod *big.Int, maxBits int, window uint) (*FixedBase
 	if window < 1 || window > 12 {
 		return nil, errors.New("mathx: fixed-base window must be in [1, 12]")
 	}
+	mo, err := NewModulus(mod)
+	if err != nil {
+		return nil, err
+	}
 	t := &FixedBaseTable{
 		base:    new(big.Int).Mod(base, mod),
-		mod:     mod,
+		mo:      mo,
 		window:  window,
 		maxBits: maxBits,
 	}
+	k := mo.k
+	perRow := 1<<window - 1
 	nrows := (maxBits + int(window) - 1) / int(window)
-	cur := new(big.Int).Set(t.base) // base^(2^(window·i)) for the current row
-	t.rows = make([][]*big.Int, nrows)
+	t.slab = make([]big.Word, nrows*perRow*k)
+	cur := mo.ToMont(t.base) // base^(2^(window·i)) for the current row
 	for i := 0; i < nrows; i++ {
-		row := make([]*big.Int, 1<<window)
-		row[0] = big.NewInt(1)
-		for j := 1; j < 1<<window; j++ {
-			row[j] = new(big.Int).Mul(row[j-1], cur)
-			row[j].Mod(row[j], mod)
+		copy(t.entry(i, 1), cur)
+		for j := 2; j <= perRow; j++ {
+			mo.montMul(t.entry(i, uint(j)), t.entry(i, uint(j-1)), cur)
 		}
-		t.rows[i] = row
-		next := new(big.Int).Mul(row[1<<window-1], cur)
-		cur = next.Mod(next, mod)
+		mo.montMul(cur, t.entry(i, uint(perRow)), cur)
 	}
 	return t, nil
+}
+
+// entry returns the Montgomery image of base^(d << (window·i)), d >= 1.
+func (t *FixedBaseTable) entry(i int, d uint) Elem {
+	k := t.mo.k
+	off := (i*(1<<t.window-1) + int(d) - 1) * k
+	return t.slab[off : off+k : off+k]
 }
 
 // MaxBits returns the largest exponent bit length the table covers.
@@ -98,58 +111,25 @@ func WindowDigit(e *big.Int, i, w int) uint {
 	return d
 }
 
-// Exp returns base^e mod m. Covered exponents use the table (one modular
-// multiplication per non-zero digit); anything else — negative or
-// oversized — falls back to (*big.Int).Exp with its exact semantics,
-// including the nil result for a negative exponent of a non-invertible
-// base. Results are bit-identical to the naive computation.
+// Exp returns base^e mod m. Covered exponents walk the table in the
+// Montgomery domain (one multiplication per non-zero digit, one
+// conversion out); anything else — negative or oversized — falls back to
+// (*big.Int).Exp with its exact semantics, including the nil result for
+// a negative exponent of a non-invertible base. Results are bit-identical
+// to the naive computation.
 func (t *FixedBaseTable) Exp(e *big.Int) *big.Int {
 	if !t.Covers(e) {
-		return new(big.Int).Exp(t.base, e, t.mod)
+		return new(big.Int).Exp(t.base, e, t.mo.m)
 	}
-	acc := big.NewInt(1)
+	var abuf [maxModulusWords]big.Word
+	acc := Elem(abuf[:t.mo.k])
+	copy(acc, t.mo.one)
 	w := int(t.window)
 	bits := e.BitLen()
 	for i := 0; i*w < bits; i++ {
 		if d := WindowDigit(e, i, w); d != 0 {
-			acc.Mul(acc, t.rows[i][d])
-			acc.Mod(acc, t.mod)
+			t.mo.montMul(acc, acc, t.entry(i, d))
 		}
 	}
-	return acc
-}
-
-// productParallelThreshold is the slice length below which chunking a
-// modular product across workers costs more than it saves.
-const productParallelThreshold = 32
-
-// ProductModParallel is ProductMod with the partial products computed on
-// up to `workers` goroutines. Modular multiplication is associative and
-// commutative, so the result is bit-identical to the serial product;
-// workers <= 1 (or a short slice) runs the exact serial path.
-func ProductModParallel(values []*big.Int, m *big.Int, workers int) *big.Int {
-	if workers <= 1 || len(values) < productParallelThreshold {
-		return ProductMod(values, m)
-	}
-	if workers > len(values)/(productParallelThreshold/2) {
-		workers = len(values) / (productParallelThreshold / 2)
-	}
-	chunk := (len(values) + workers - 1) / workers
-	chunks := (len(values) + chunk - 1) / chunk
-	partials := make([]*big.Int, chunks)
-	var wg sync.WaitGroup
-	for slot := 0; slot < chunks; slot++ {
-		lo := slot * chunk
-		hi := lo + chunk
-		if hi > len(values) {
-			hi = len(values)
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			partials[slot] = ProductMod(values[lo:hi], m)
-		}(slot, lo, hi)
-	}
-	wg.Wait()
-	return ProductMod(partials, m)
+	return t.mo.FromMont(acc)
 }

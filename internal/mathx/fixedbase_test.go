@@ -132,11 +132,18 @@ func TestSchnorrGroupPrecomputeTransparent(t *testing.T) {
 	}
 }
 
+// TestProductModParallelMatchesSerial checks the division-free Modulus
+// product against ProductMod over the product lengths the former chunked
+// product was tested at (305 once exposed a chunking bug), one length
+// past the correction-factor cache, and inputs outside [0, m) that must
+// reduce on entry.
 func TestProductModParallelMatchesSerial(t *testing.T) {
 	p, _ := testModulus(t, 256)
-	// 305 with many workers regression-tests the chunking: ceil-division
-	// once produced a final chunk starting past the end of the slice.
-	for _, n := range []int{0, 1, 31, 32, 33, 100, 257, 305} {
+	mo, err := NewModulus(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 31, 32, 33, 100, 257, 305, maxCachedRPow + 1} {
 		values := make([]*big.Int, n)
 		for i := range values {
 			v, err := RandInt(rand.Reader, p)
@@ -145,11 +152,14 @@ func TestProductModParallelMatchesSerial(t *testing.T) {
 			}
 			values[i] = v
 		}
+		if n > 2 {
+			values[0] = new(big.Int).Add(values[0], p)                       // >= m
+			values[1] = new(big.Int).Sub(values[1], p)                       // negative
+			values[2] = new(big.Int).Add(new(big.Int).Lsh(p, 70), values[2]) // wider than m
+		}
 		want := ProductMod(values, p)
-		for _, workers := range []int{0, 1, 2, 4, 7, 64} {
-			if got := ProductModParallel(values, p, workers); got.Cmp(want) != 0 {
-				t.Fatalf("n=%d workers=%d: parallel product mismatch", n, workers)
-			}
+		if got := mo.Product(values); got.Cmp(want) != 0 {
+			t.Fatalf("n=%d: Modulus product mismatch", n)
 		}
 	}
 }

@@ -3,9 +3,10 @@
 // prime generation (including Schnorr-group and pairing-friendly shapes),
 // modular square roots, Legendre symbols and product trees.
 //
-// Everything is built on math/big and crypto/rand only. The package is
-// deliberately free of protocol knowledge; it is the bottom layer of the
-// dependency graph.
+// Everything is built on math/big, math/bits and crypto/rand, plus one
+// amd64 assembly row kernel under the Montgomery engine (mont_amd64.s,
+// with a pure-Go fallback). The package is deliberately free of protocol
+// knowledge; it is the bottom layer of the dependency graph.
 package mathx
 
 import (

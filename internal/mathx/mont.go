@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
 // This file is the fixed-width Montgomery-form modular arithmetic engine
-// under the variable-base hot paths: the Burmester-Desmedt key assembly
-// (equation 3), the GQ respond/verify folds and the DSA/Schnorr verify
-// multi-exponentiation. A Modulus precomputes everything expensive about
+// under every 1024-bit keying operation: round 2's edge powers and the
+// dynamic flows' DH powers, the Z/T/response products, the
+// Burmester-Desmedt key assembly (equation 3), the GQ respond/verify
+// folds and the fixed-base tables. A Modulus precomputes everything expensive about
 // one modulus — the word count, -m^{-1} mod 2^W and R² mod m — exactly
 // once; Elem values stay in the Montgomery domain across whole
 // verification pipelines, converting on entry and leaving only at wire
@@ -20,8 +22,13 @@ import (
 // operation meters are unaffected by which engine ran.
 //
 // The core loops are CIOS (coarsely integrated operand scanning) with a
-// dedicated squaring that halves the partial-product count. Everything
-// is pure Go over math/bits intrinsics — no assembly, no dependencies.
+// dedicated squaring that halves the partial-product count. Their inner
+// row, z += x·y over 16 words (one 1024-bit limb vector), runs on an
+// assembly kernel on amd64 — ADCX/ADOX/MULX when the CPU has ADX and
+// BMI2, MULQ otherwise — and on unrolled pure Go over math/bits under the
+// purego build tag or on any other architecture (mont_amd64.s,
+// mont_generic.go). Every width other than 16 and 32 words runs the
+// generic Go row.
 
 // maxModulusWords bounds the fixed scratch buffers of the CIOS loops
 // (64 words = 4096 bits on 64-bit platforms), far above the 1024/2048-bit
@@ -47,8 +54,9 @@ type Elem []big.Word
 // Modulus is the precomputed context for Montgomery arithmetic modulo one
 // odd m: the limb image of m, the word count k, n0 = -m^{-1} mod 2^W and
 // R² mod m (R = 2^(W·k)). Construction costs one big.Int division; every
-// subsequent operation is division-free. A Modulus is immutable after
-// construction and safe for concurrent use.
+// subsequent operation on reduced inputs is division-free. Apart from
+// Product's lock-guarded cache of correction factors, a Modulus is
+// immutable after construction; it is safe for concurrent use.
 type Modulus struct {
 	m     *big.Int
 	words []big.Word // little-endian limbs of m, length k
@@ -56,6 +64,15 @@ type Modulus struct {
 	n0    big.Word // -m^{-1} mod 2^W
 	r2    Elem     // R² mod m  (ToMont multiplier)
 	one   Elem     // R mod m   (Montgomery image of 1)
+
+	// rPows caches R^j mod m for j < len(rPows), the correction factors
+	// of Product (grown on demand up to maxCachedRPow).
+	rMu   sync.Mutex
+	rPows []Elem
+
+	// products, when non-nil, counts Montgomery products (montMul and
+	// montSqr calls); tests set it on a private Modulus.
+	products *int
 }
 
 // NewModulus precomputes a Montgomery context for an odd modulus > 1.
@@ -130,8 +147,8 @@ func (mo *Modulus) ToMont(v *big.Int) Elem {
 // FromMont converts an Elem back to a canonical big.Int residue in [0, m):
 // one Montgomery multiplication by 1.
 func (mo *Modulus) FromMont(e Elem) *big.Int {
-	z := make(Elem, mo.k)
-	oneLimb := make(Elem, mo.k)
+	var zbuf, obuf [maxModulusWords]big.Word
+	z, oneLimb := Elem(zbuf[:mo.k]), Elem(obuf[:mo.k])
 	oneLimb[0] = 1
 	mo.montMul(z, e, oneLimb)
 	return bigFromElem(z)
@@ -188,69 +205,19 @@ func addMulVVW(z, x []big.Word, y big.Word) big.Word {
 	return big.Word(c)
 }
 
-// mulAddWWW is one word step of addMulVVW: z + x·y + c over a single
-// limb, returning the low word and the outgoing carry. Small enough that
-// the compiler inlines it into the unrolled kernels.
-func mulAddWWW(xi, y, zi, c uint) (uint, uint) {
-	hi, lo := bits.Mul(xi, y)
-	lo, cc := bits.Add(lo, c, 0)
-	hi += cc
-	lo, cc = bits.Add(lo, zi, 0)
-	return lo, hi + cc
-}
-
-// addMulVVW16 is addMulVVW fully unrolled for a 16-word (1024-bit on
-// 64-bit platforms) window with a carry-in: fixed-size array pointers let
-// the compiler drop every bounds check and loop branch, which is worth
-// ~25% on the CIOS inner product.
-func addMulVVW16(z, x *[16]big.Word, y big.Word, c uint) uint {
-	yy := uint(y)
-	var w uint
-	w, c = mulAddWWW(uint(x[0]), yy, uint(z[0]), c)
-	z[0] = big.Word(w)
-	w, c = mulAddWWW(uint(x[1]), yy, uint(z[1]), c)
-	z[1] = big.Word(w)
-	w, c = mulAddWWW(uint(x[2]), yy, uint(z[2]), c)
-	z[2] = big.Word(w)
-	w, c = mulAddWWW(uint(x[3]), yy, uint(z[3]), c)
-	z[3] = big.Word(w)
-	w, c = mulAddWWW(uint(x[4]), yy, uint(z[4]), c)
-	z[4] = big.Word(w)
-	w, c = mulAddWWW(uint(x[5]), yy, uint(z[5]), c)
-	z[5] = big.Word(w)
-	w, c = mulAddWWW(uint(x[6]), yy, uint(z[6]), c)
-	z[6] = big.Word(w)
-	w, c = mulAddWWW(uint(x[7]), yy, uint(z[7]), c)
-	z[7] = big.Word(w)
-	w, c = mulAddWWW(uint(x[8]), yy, uint(z[8]), c)
-	z[8] = big.Word(w)
-	w, c = mulAddWWW(uint(x[9]), yy, uint(z[9]), c)
-	z[9] = big.Word(w)
-	w, c = mulAddWWW(uint(x[10]), yy, uint(z[10]), c)
-	z[10] = big.Word(w)
-	w, c = mulAddWWW(uint(x[11]), yy, uint(z[11]), c)
-	z[11] = big.Word(w)
-	w, c = mulAddWWW(uint(x[12]), yy, uint(z[12]), c)
-	z[12] = big.Word(w)
-	w, c = mulAddWWW(uint(x[13]), yy, uint(z[13]), c)
-	z[13] = big.Word(w)
-	w, c = mulAddWWW(uint(x[14]), yy, uint(z[14]), c)
-	z[14] = big.Word(w)
-	w, c = mulAddWWW(uint(x[15]), yy, uint(z[15]), c)
-	z[15] = big.Word(w)
-	return c
-}
-
 // addMulWin is addMulVVW over a window of exactly len(z) words,
 // dispatching 16- and 32-word windows (1024/2048-bit moduli) to the
-// unrolled kernel. Requires len(x) >= len(z).
+// 16-word row kernel (addMulWin16: assembly on amd64, unrolled Go
+// elsewhere). A 32-word row runs as two 16-word halves, the low half's
+// carry rippling into the high half. Requires len(x) >= len(z).
 func addMulWin(z, x []big.Word, y big.Word) big.Word {
 	switch len(z) {
 	case 16:
-		return big.Word(addMulVVW16((*[16]big.Word)(z), (*[16]big.Word)(x), y, 0))
+		return addMulWin16(z, x, y)
 	case 32:
-		c := addMulVVW16((*[16]big.Word)(z), (*[16]big.Word)(x), y, 0)
-		return big.Word(addMulVVW16((*[16]big.Word)(z[16:]), (*[16]big.Word)(x[16:]), y, c))
+		c := addMulWin16(z[:16], x[:16], y)
+		hi := addMulWin16(z[16:32], x[16:32], y)
+		return hi + addVW(z[16:32], c)
 	}
 	return addMulVVW(z, x, y)
 }
@@ -289,6 +256,13 @@ func addVW(z []big.Word, y big.Word) big.Word {
 // alias x or y: the product accumulates in a stack scratch buffer and is
 // copied out after the final conditional subtraction.
 func (mo *Modulus) montMul(z, x, y Elem) {
+	if mo.products != nil {
+		*mo.products++
+	}
+	if mo.k == 16 {
+		mo.montMul16(z, x, y)
+		return
+	}
 	k := mo.k
 	n := mo.words
 	var tbuf [2 * maxModulusWords]big.Word
@@ -320,11 +294,42 @@ func (mo *Modulus) montMul(z, x, y Elem) {
 	}
 }
 
+// montMul16 is montMul at the 1024-bit keying width: a 32-word stack
+// accumulator (no 128-word scratch to clear) and the row kernel called
+// directly, with no width dispatch per row.
+func (mo *Modulus) montMul16(z, x, y Elem) {
+	var t [32]big.Word
+	n := mo.words[:16]
+	x, y = x[:16], y[:16]
+	var c big.Word
+	for i, yi := range y {
+		win := t[i : i+16]
+		c2 := addMulWin16(win, x, yi)
+		c3 := addMulWin16(win, n, t[i]*mo.n0)
+		cx := c + c2
+		cy := cx + c3
+		t[i+16] = cy
+		if cx < c2 || cy < c3 {
+			c = 1
+		} else {
+			c = 0
+		}
+	}
+	if c != 0 || geWords(t[16:], n) {
+		subVV(z, t[16:], n)
+	} else {
+		copy(z, t[16:])
+	}
+}
+
 // montSqr computes z = x²·R^{-1} mod m: the off-diagonal partial products
 // are computed once and doubled (k(k-1)/2 multiplies instead of k²), the
 // diagonal added, then a separated Montgomery reduction pass runs over the
 // double-width product. z may alias x.
 func (mo *Modulus) montSqr(z, x Elem) {
+	if mo.products != nil {
+		*mo.products++
+	}
 	k := mo.k
 	n := mo.words
 	var tbuf [2*maxModulusWords + 1]big.Word
@@ -401,61 +406,78 @@ func expWindow(bits int) int {
 	}
 }
 
+// ladderWindow is the fixed window width of ExpElem: 4-bit digits over a
+// 16-entry table, the shape of math/big's expNNMontgomery.
+const ladderWindow = 4
+
 // ExpElem computes base^e in the Montgomery domain for a non-negative
-// exponent, with a left-to-right sliding window over precomputed odd
-// powers. e = 0 yields the Montgomery image of 1.
+// exponent with a fixed-window ladder: a table of base^0 … base^15, then
+// for every 4-bit digit of e (most significant word first, every word
+// read in full) four squarings and one multiplication by the digit's
+// table entry, which is selected by scanning the whole table under a
+// mask. The square/multiply sequence and the memory it touches therefore
+// depend only on the exponent's word length, never on its bits, so a
+// secret r_i power is no less regular than big.Int.Exp's. e = 0 yields
+// the Montgomery image of 1. Public exponents that want the cheaper
+// variable-time chain go through MultiExpElem.
 func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
-	eb := e.BitLen()
-	if e.Sign() < 0 {
+	// The ladder's only decisions on e are its sign and its word length,
+	// both read once here: callers treat them as public.
+	sign := e.Sign()
+	if sign < 0 {
 		panic("mathx: ExpElem needs a non-negative exponent")
 	}
-	if eb == 0 {
-		return mo.MontOne()
+	nw := (e.BitLen() + bits.UintSize - 1) / bits.UintSize
+	acc := mo.MontOne()
+	if nw == 0 {
+		return acc
 	}
-	w := expWindow(eb)
-	// Odd powers base^1, base^3, ..., base^(2^w - 1).
-	table := make([]Elem, 1<<(w-1))
-	table[0] = append(Elem(nil), base...)
-	if len(table) > 1 {
-		b2 := mo.Sqr(base)
-		for i := 1; i < len(table); i++ {
-			table[i] = mo.Mul(table[i-1], b2)
-		}
+	k := mo.k
+	const entries = 1 << ladderWindow
+	flat := make([]big.Word, (entries+1)*k)
+	table := make([]Elem, entries)
+	for j := range table {
+		table[j] = flat[j*k : (j+1)*k : (j+1)*k]
 	}
-	acc := make(Elem, mo.k)
-	started := false
-	for i := eb - 1; i >= 0; {
-		if e.Bit(i) == 0 {
-			if started {
-				mo.SqrInto(acc, acc)
+	sel := Elem(flat[entries*k:])
+	copy(table[0], mo.one)
+	copy(table[1], base)
+	for j := 2; j < entries; j++ {
+		mo.montMul(table[j], table[j-1], base)
+	}
+	words := e.Bits()
+	for i := nw - 1; i >= 0; i-- {
+		w := uint(words[i])
+		for j := 0; j < bits.UintSize; j += ladderWindow {
+			if i != nw-1 || j != 0 {
+				for s := 0; s < ladderWindow; s++ {
+					mo.SqrInto(acc, acc)
+				}
 			}
-			i--
-			continue
+			selectElem(sel, table, w>>(bits.UintSize-ladderWindow))
+			mo.montMul(acc, acc, sel)
+			w <<= ladderWindow
 		}
-		// Find the longest window [i..l] with a set low bit, width <= w.
-		l := i - w + 1
-		if l < 0 {
-			l = 0
-		}
-		for e.Bit(l) == 0 {
-			l++
-		}
-		var digit uint
-		for j := i; j >= l; j-- {
-			digit = digit<<1 | uint(e.Bit(j))
-		}
-		if started {
-			for j := 0; j < i-l+1; j++ {
-				mo.SqrInto(acc, acc)
-			}
-			mo.MulInto(acc, acc, table[digit>>1])
-		} else {
-			copy(acc, table[digit>>1])
-			started = true
-		}
-		i = l - 1
 	}
 	return acc
+}
+
+// selectElem copies table[idx] into dst in constant time: every entry is
+// read and blended under a mask that is all ones only at idx, so neither
+// a branch nor a memory address depends on idx.
+func selectElem(dst Elem, table []Elem, idx uint) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	for j, entry := range table {
+		d := uint(j) ^ idx
+		// mask = all ones iff d == 0: (d | -d) has its top bit set
+		// exactly when d != 0.
+		mask := big.Word(((d|-d)>>(bits.UintSize-1))^1) * ^big.Word(0)
+		for i := range dst {
+			dst[i] |= entry[i] & mask
+		}
+	}
 }
 
 // MultiExpElem computes Π bases[i]^exps[i] in the Montgomery domain with
@@ -571,6 +593,66 @@ func (mo *Modulus) ProductElem(es []Elem) Elem {
 		mo.MulInto(acc, acc, e)
 	}
 	return acc
+}
+
+// Product returns Π values mod m, bit-identical to ProductMod, without a
+// single division for canonical inputs. The values' plain limbs go
+// straight into n−1 Montgomery multiplications, which leaves
+// Π v_i · R^{-(n-1)}; one more multiplication by the cached R^n restores
+// the product. Inputs outside [0, m) are reduced on entry. An empty
+// slice yields 1 (the empty-product convention of the batch
+// verification equations).
+func (mo *Modulus) Product(values []*big.Int) *big.Int {
+	if len(values) == 0 {
+		return big.NewInt(1)
+	}
+	var abuf, vbuf [maxModulusWords]big.Word
+	acc, v := Elem(abuf[:mo.k]), Elem(vbuf[:mo.k])
+	mo.limbsInto(acc, values[0])
+	for _, x := range values[1:] {
+		mo.limbsInto(v, x)
+		mo.montMul(acc, acc, v)
+	}
+	mo.montMul(acc, acc, mo.rPower(len(values)))
+	return bigFromElem(acc)
+}
+
+// limbsInto writes the plain (not Montgomery) limbs of v mod m into dst,
+// reducing only when v lies outside [0, m).
+func (mo *Modulus) limbsInto(dst Elem, v *big.Int) {
+	if v.Sign() < 0 || v.Cmp(mo.m) >= 0 {
+		v = new(big.Int).Mod(v, mo.m)
+	}
+	n := copy(dst, v.Bits())
+	for i := n; i < len(dst); i++ {
+		dst[i] = 0
+	}
+}
+
+// maxCachedRPow bounds the correction-factor cache of Product; longer
+// products derive R^n by exponentiation instead.
+const maxCachedRPow = 1024
+
+// rPower returns R^n mod m in plain limbs (equivalently the Montgomery
+// image of R^{n-1}), for n >= 1. Each cached power is one Montgomery
+// multiplication by R² from the previous one.
+func (mo *Modulus) rPower(n int) Elem {
+	if n > maxCachedRPow {
+		// r2 is the Montgomery image of R; the exponent is public.
+		rn, _ := mo.MultiExpElem([]Elem{mo.r2}, []*big.Int{big.NewInt(int64(n - 1))})
+		return rn
+	}
+	mo.rMu.Lock()
+	defer mo.rMu.Unlock()
+	if len(mo.rPows) == 0 {
+		mo.rPows = append(mo.rPows, nil, mo.one, mo.r2) // R^0 is never used
+	}
+	for len(mo.rPows) <= n {
+		next := make(Elem, mo.k)
+		mo.montMul(next, mo.rPows[len(mo.rPows)-1], mo.r2)
+		mo.rPows = append(mo.rPows, next)
+	}
+	return mo.rPows[n]
 }
 
 // BatchInverseElem inverts every Elem with Montgomery's trick: prefix

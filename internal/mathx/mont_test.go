@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"math/big"
 	"math/bits"
+	"sync"
 	"testing"
 )
 
@@ -444,4 +445,38 @@ func BenchmarkMontMul(b *testing.B) {
 			t.Mod(t, mo.Int())
 		}
 	})
+}
+
+// TestProductConcurrent drives one shared Modulus's Product from several
+// goroutines at once, with lengths that keep growing its correction-
+// factor cache, and checks every result against ProductMod.
+func TestProductConcurrent(t *testing.T) {
+	p, err := RandPrime(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo, err := NewModulus(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make([]*big.Int, 64)
+	for i := range values {
+		if values[i], err = RandInt(rand.Reader, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := g; n <= len(values); n += 4 {
+				if got, want := mo.Product(values[:n]), ProductMod(values[:n], p); got.Cmp(want) != 0 {
+					t.Errorf("goroutine %d: product of %d values mismatch", g, n)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

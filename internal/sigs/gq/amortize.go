@@ -1,9 +1,9 @@
 // Amortized batch verification: the per-membership GroupVerifier caches
 // everything about a signer set that BatchVerify recomputes on every call
-// (identity digests, their product, and a fixed-base table for the
-// inverse product), and the Claim/VerifyClaimsRLC pair lets a host defer
-// many groups' batch checks and settle them with one random-linear-
-// combination equation per wakeup.
+// (identity digests, their product and its inverse, optionally with a
+// fixed-base table for the inverse), and the Claim/VerifyClaimsRLC pair
+// lets a host defer many groups' batch checks and settle them with one
+// random-linear-combination equation per wakeup.
 
 package gq
 
@@ -27,16 +27,20 @@ const RLCBits = 64
 
 // GroupVerifier is the amortized batch-verification context for one fixed
 // signer set. Construction hashes every identity, folds the digest
-// product H = Π H(ID_i), inverts it once and builds a fixed-base table
-// for the inverse, so each subsequent BatchVerify costs one response
-// product, one short public-exponent power and a table walk — no
-// per-round hashing, inversion or full-width exponentiation. Verdicts
-// are identical to gq.BatchVerify. Safe for concurrent use once built.
+// product H = Π H(ID_i), inverts it once and keeps the inverse in the
+// Montgomery domain, so each subsequent BatchVerify costs one
+// division-free response product and one Montgomery multi-
+// exponentiation — no per-round hashing, inversion or math/big
+// exponentiation. NewGroupVerifier adds a fixed-base table for the
+// inverse. Verdicts are identical to gq.BatchVerify. Safe for concurrent
+// use once built.
 type GroupVerifier struct {
 	pub     Params
+	mo      *mathx.Modulus
 	size    int // number of signers
 	hProd   *big.Int
 	hInv    *big.Int
+	hInvM   mathx.Elem // hInv in the Montgomery domain of mo
 	hInvTab *mathx.FixedBaseTable
 }
 
@@ -53,26 +57,28 @@ func NewGroupVerifier(pub Params, ids []string) (*GroupVerifier, error) {
 }
 
 // NewClaimBuilder is NewGroupVerifier without the fixed-base table: the
-// right shape when the membership only emits claims (claims never walk
-// the table), costing one identity-product hash and one inversion
-// instead of a full table build. BatchVerify still works, through a
-// plain exponentiation of the cached inverse.
+// right shape when the membership only emits claims or checks a round
+// now and then, costing one identity-product hash and one inversion
+// instead of a full table build. BatchVerify folds the cached inverse
+// into its multi-exponentiation instead of walking a table.
 func NewClaimBuilder(pub Params, ids []string) (*GroupVerifier, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("gq: empty signer set")
+	}
+	mo, err := pub.mont()
+	if err != nil {
+		return nil, err
 	}
 	hProd := identityProduct(pub, ids)
 	hInv, err := mathx.ModInverse(hProd, pub.N)
 	if err != nil {
 		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
 	}
-	return &GroupVerifier{pub: pub, size: len(ids), hProd: hProd, hInv: hInv}, nil
+	return &GroupVerifier{pub: pub, mo: mo, size: len(ids), hProd: hProd, hInv: hInv, hInvM: mo.ToMont(hInv)}, nil
 }
 
-// BatchVerify checks equation (2) for one round of the cached signer set:
-// c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z). The verdict is identical to
-// gq.BatchVerify over the same inputs.
-func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error {
+// checkResponses validates a round's responses against the signer set.
+func (gv *GroupVerifier) checkResponses(responses []*big.Int) error {
 	if len(responses) != gv.size {
 		return errors.New("gq: batch size mismatch")
 	}
@@ -81,14 +87,37 @@ func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error 
 			return fmt.Errorf("gq: response %d out of range", i)
 		}
 	}
-	sProd := mathx.ProductMod(responses, gv.pub.N)
-	lhs := new(big.Int).Exp(sProd, gv.pub.E, gv.pub.N)
-	if gv.hInvTab != nil {
-		lhs.Mul(lhs, gv.hInvTab.Exp(c)) // hProd^{-c} via the cached table
-	} else {
-		lhs.Mul(lhs, new(big.Int).Exp(gv.hInv, c, gv.pub.N))
+	return nil
+}
+
+// BatchVerify checks equation (2) for one round of the cached signer set:
+// c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z), the left side evaluated as one
+// Montgomery multi-exponentiation (or, with a table, a short power times
+// a table walk). The verdict is identical to gq.BatchVerify over the same
+// inputs.
+func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error {
+	if err := gv.checkResponses(responses); err != nil {
+		return err
 	}
-	lhs.Mod(lhs, gv.pub.N)
+	if c == nil || c.Sign() < 0 {
+		return errors.New("gq: batch verification failed")
+	}
+	mo := gv.mo
+	sProd := mo.ToMont(mo.Product(responses))
+	var lhs *big.Int
+	if gv.hInvTab != nil && gv.hInvTab.Covers(c) {
+		se, err := mo.MultiExpElem([]mathx.Elem{sProd}, []*big.Int{gv.pub.E})
+		if err != nil {
+			return err
+		}
+		lhs = mo.FromMont(mo.Mul(se, mo.ToMont(gv.hInvTab.Exp(c)))) // hProd^{-c} via the cached table
+	} else {
+		acc, err := mo.MultiExpElem([]mathx.Elem{sProd, gv.hInvM}, []*big.Int{gv.pub.E, c})
+		if err != nil {
+			return err
+		}
+		lhs = mo.FromMont(acc)
+	}
 	check := hashx.Challenge(hashx.TagChallenge, hashx.BigBytes(lhs), hashx.BigBytes(z))
 	if check.Cmp(c) != 0 {
 		return errors.New("gq: batch verification failed")
@@ -122,20 +151,15 @@ type Claim struct {
 // identity digests, their product and its inverse all come from the
 // cache, so a round's claim costs only the response product.
 func (gv *GroupVerifier) NewClaim(responses []*big.Int, c, t *big.Int) (*Claim, error) {
-	if len(responses) != gv.size {
-		return nil, errors.New("gq: batch size mismatch")
+	if err := gv.checkResponses(responses); err != nil {
+		return nil, err
 	}
 	if c == nil || t == nil {
 		return nil, errors.New("gq: claim missing challenge or commitment")
 	}
-	for i, s := range responses {
-		if s == nil || s.Sign() <= 0 || s.Cmp(gv.pub.N) >= 0 {
-			return nil, fmt.Errorf("gq: response %d out of range", i)
-		}
-	}
 	return &Claim{
 		Pub:   gv.pub,
-		SProd: mathx.ProductMod(responses, gv.pub.N),
+		SProd: gv.mo.Product(responses),
 		HProd: gv.hProd,
 		C:     c,
 		T:     new(big.Int).Mod(t, gv.pub.N),
@@ -161,9 +185,15 @@ func (cl *Claim) Verify() error {
 	}
 	var lhs *big.Int
 	if cl.HInv != nil {
-		lhs = new(big.Int).Exp(cl.SProd, cl.Pub.E, cl.Pub.N)
-		lhs.Mul(lhs, new(big.Int).Exp(cl.HInv, cl.C, cl.Pub.N))
-		lhs.Mod(lhs, cl.Pub.N)
+		mo, err := cl.Pub.mont()
+		if err != nil {
+			return err
+		}
+		acc, err := mo.MultiExpElem([]mathx.Elem{mo.ToMont(cl.SProd), mo.ToMont(cl.HInv)}, []*big.Int{cl.Pub.E, cl.C})
+		if err != nil {
+			return err
+		}
+		lhs = mo.FromMont(acc)
 	} else {
 		var err error
 		lhs, err = foldCommitment(cl.Pub, cl.HProd, cl.SProd, cl.C)
@@ -239,7 +269,7 @@ func VerifyClaimsRLC(rnd io.Reader, claims []*Claim) error {
 // rlcCheck evaluates the combined equation for claims sharing a modulus.
 func rlcCheck(rnd io.Reader, part []*Claim) error {
 	pub := part[0].Pub
-	mo, err := mathx.NewModulus(pub.N)
+	mo, err := pub.mont()
 	if err != nil {
 		return err
 	}

@@ -35,11 +35,25 @@ import (
 type Params struct {
 	N *big.Int
 	E *big.Int
+
+	// mo is the parameter set's shared Montgomery context for N, when
+	// the Params came from ParamsFrom.
+	mo *mathx.Modulus
 }
 
-// ParamsFrom extracts the public view of an RSA parameter set.
+// ParamsFrom extracts the public view of an RSA parameter set, carrying
+// the set's process-wide Montgomery context for N along.
 func ParamsFrom(rp *mathx.RSAParams) Params {
-	return Params{N: rp.N, E: rp.E}
+	return Params{N: rp.N, E: rp.E, mo: rp.Mont()}
+}
+
+// mont returns the Montgomery context for N: the shared one when the
+// Params carry it, a fresh one otherwise.
+func (p Params) mont() (*mathx.Modulus, error) {
+	if p.mo != nil {
+		return p.mo, nil
+	}
+	return mathx.NewModulus(p.N)
 }
 
 // PrivateKey is the ID-based secret S_ID = H(ID)^d delivered by the PKG.
@@ -171,6 +185,10 @@ func GroupChallenge(t, z *big.Int) *big.Int {
 // value Z, it verifies all signatures with one exponentiation-sized check:
 //
 //	c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z)
+//
+// It is the paper-literal form — every call re-hashes the identities and
+// runs on math/big — and stays as the test oracle of the engine's check,
+// which goes through the per-roster cached GroupVerifier.BatchVerify.
 func BatchVerify(pub Params, ids []string, responses []*big.Int, c, z *big.Int) error {
 	if len(ids) == 0 || len(ids) != len(responses) {
 		return errors.New("gq: batch size mismatch")
