@@ -34,7 +34,7 @@
 //
 //	gkanet -n 5                     # hub + 5 nodes: establish, join, evict
 //	gkanet -dynamic=false -n 5      # establishment + confirmation only
-//	gkanet -mode lockstep -n 5      # the legacy lockstep orchestrator
+//	gkanet -mode lockstep -n 5      # the lockstep orchestrator
 //	gkanet -listen :7777            # choose the hub port
 //	gkanet -precompute -workers 4   # crypto acceleration (tables + pool)
 //	gkanet -n 5 -crash node-02@confirmed   # kill node-02, survivors re-key

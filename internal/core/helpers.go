@@ -1,26 +1,23 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"idgka/internal/engine"
 	"idgka/internal/netsim"
 )
 
-// lockstepSID is the session id of driver-pumped flows: the empty id
-// selects the engine's legacy wire mode, whose payloads are byte-identical
-// to the original lockstep implementation (no session envelope), keeping
-// the paper-comparable traffic accounting exact.
-const lockstepSID = ""
+// lockstepRuns numbers the drivers' runs. Each run executes under a fresh
+// session id, so every member starts it at attempt 0 and the whole run
+// shares one envelope.
+var lockstepRuns atomic.Uint64
 
-// lockstepBase selects the machine's most recently committed group as a
-// dynamic flow's base — the single-group model of the lockstep drivers,
-// which run one group per machine.
-const lockstepBase = ""
-
-// starter begins one member's flow and returns its opening messages.
-type starter func(mb *Member) ([]engine.Outbound, []engine.Event, error)
+// starter begins one member's flow under the run's session id and returns
+// its opening messages.
+type starter func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error)
 
 // errStalled marks an attempt in which the network went quiet before every
 // member finished — e.g. a dropped broadcast; the paper's answer is "all
@@ -30,29 +27,33 @@ var errStalled = fmt.Errorf("flow stalled: message lost before completion")
 // maxSweeps is a livelock backstop far above any protocol's round count.
 const maxSweeps = 1 << 10
 
-// runFlowOnce starts the same flow on every member and pumps messages
-// between the machines over the medium until every machine commits: each
-// sweep drains every member's inbox, steps the machines concurrently (one
-// goroutine per member, as the nodes would compute in the field), then
-// transmits whatever the machines emitted. Retryable protocol failures
+// runFlowOnce starts the same flow on every member under a fresh session
+// id and pumps messages between the machines over the medium until every
+// machine commits: each sweep drains every member's inbox, steps the
+// machines concurrently (one goroutine per member, as the nodes would
+// compute in the field), then transmits whatever the machines emitted.
+// The medium carries the paper's payloads: transmit strips the run's
+// session envelope and the receive side restores it, so the medium's
+// byte accounting (and any fault it injects) sees exactly the
+// un-enveloped protocol messages. Retryable protocol failures
 // (verification failure, lost messages) surface as engine-retryable
 // errors for the caller's retransmission loop. On ANY failure the
-// members' in-flight flows are aborted, so a later Run* on the same
-// group starts from a clean machine instead of tripping over a stale
-// active flow.
-func runFlowOnce(net netsim.Medium, members []*Member, start starter) (err error) {
-	defer func() {
-		if err != nil {
-			for _, mb := range members {
-				mb.mach.Abort(lockstepSID)
-			}
+// members' flows of the run are aborted, so nothing of it lingers in the
+// machines.
+func runFlowOnce(net netsim.Medium, members []*Member, start starter) error {
+	sid := fmt.Sprintf("lockstep/%d", lockstepRuns.Add(1))
+	err := pumpFlow(net, members, sid, start)
+	if err != nil {
+		for _, mb := range members {
+			mb.mach.Abort(sid)
 		}
-	}()
-	return pumpFlow(net, members, start)
+	}
+	return err
 }
 
 // pumpFlow is runFlowOnce without the failure cleanup.
-func pumpFlow(net netsim.Medium, members []*Member, start starter) error {
+func pumpFlow(net netsim.Medium, members []*Member, sid string, start starter) error {
+	env := engine.Envelope(sid, 0)
 	n := len(members)
 	outs := make([][]engine.Outbound, n)
 	evts := make([][]engine.Event, n)
@@ -69,12 +70,12 @@ func pumpFlow(net netsim.Medium, members []*Member, start starter) error {
 	}
 
 	forEach(members, func(i int, mb *Member) {
-		outs[i], evts[i], errs[i] = start(mb)
+		outs[i], evts[i], errs[i] = start(mb, sid)
 	})
 	if err := harvest(members, evts, errs, done); err != nil {
 		return err
 	}
-	if err := transmit(net, members, outs); err != nil {
+	if err := transmit(net, members, env, outs); err != nil {
 		return err
 	}
 
@@ -98,6 +99,7 @@ func pumpFlow(net netsim.Medium, members []*Member, start starter) error {
 		forEach(members, func(i int, mb *Member) {
 			outs[i], evts[i], errs[i] = nil, nil, nil
 			for _, msg := range inboxes[i] {
+				msg.Payload = append(append(make([]byte, 0, len(env)+len(msg.Payload)), env...), msg.Payload...)
 				o, e := mb.mach.Step(msg)
 				outs[i] = append(outs[i], o...)
 				evts[i] = append(evts[i], e...)
@@ -106,7 +108,7 @@ func pumpFlow(net netsim.Medium, members []*Member, start starter) error {
 		if err := harvest(members, evts, errs, done); err != nil {
 			return err
 		}
-		if err := transmit(net, members, outs); err != nil {
+		if err := transmit(net, members, env, outs); err != nil {
 			return err
 		}
 	}
@@ -131,8 +133,8 @@ func runFlowFatal(net netsim.Medium, members []*Member, start starter, what stri
 
 // runFlowRetrying wraps runFlowOnce in the paper's retransmission loop:
 // on a retryable failure every member aborts, inboxes are drained, and
-// the flow restarts with fresh randomness, up to the configured retry
-// budget.
+// the flow restarts under a fresh session id with fresh randomness, up
+// to the configured retry budget.
 func runFlowRetrying(net netsim.Medium, members []*Member, start starter, what string) error {
 	retries := members[0].cfg.Retries()
 	var lastErr error
@@ -165,7 +167,8 @@ func forEach(members []*Member, fn func(int, *Member)) {
 
 // harvest folds per-member step results into the done set, preferring a
 // retryable error over a fatal one when both occur in one phase (so the
-// orchestrator re-runs rather than aborts).
+// orchestrator re-runs rather than aborts). A member whose flow
+// establishes a group adopts it as its committed group at once.
 func harvest(members []*Member, evts [][]engine.Event, errs []error, done []bool) error {
 	var firstFatal error
 	var retry error
@@ -180,7 +183,10 @@ func harvest(members []*Member, evts [][]engine.Event, errs []error, done []bool
 		}
 		for _, ev := range evts[i] {
 			switch ev.Kind {
-			case engine.EventEstablished, engine.EventConfirmed:
+			case engine.EventEstablished:
+				done[i] = true
+				members[i].commit(ev.SID)
+			case engine.EventConfirmed:
 				done[i] = true
 			case engine.EventFailed:
 				if ev.Retryable {
@@ -198,9 +204,16 @@ func harvest(members []*Member, evts [][]engine.Event, errs []error, done []bool
 }
 
 // transmit sends every emitted message in member order (deterministic for
-// the fault injector and the medium's traffic accounting).
-func transmit(net netsim.Medium, members []*Member, outs [][]engine.Outbound) error {
+// the fault injector and the medium's traffic accounting), stripped of
+// the run's envelope env.
+func transmit(net netsim.Medium, members []*Member, env []byte, outs [][]engine.Outbound) error {
 	for i, mb := range members {
+		for j, o := range outs[i] {
+			if !bytes.HasPrefix(o.Payload, env) {
+				return fmt.Errorf("core: %s emitted a %s message outside the run's session", mb.ID(), o.Type)
+			}
+			outs[i][j].Payload = o.Payload[len(env):]
+		}
 		if err := engine.SendAll(net, mb.ID(), outs[i]); err != nil {
 			return err
 		}
@@ -217,13 +230,11 @@ func allDone(done []bool) bool {
 	return true
 }
 
-// drainAll empties members' inboxes and aborts their in-flight flows
-// between retransmission attempts so a stale message cannot poison the
-// next attempt.
+// drainAll empties members' inboxes between retransmission attempts so a
+// stale message cannot poison the next attempt.
 func drainAll(net netsim.Medium, members []*Member) {
 	for _, mb := range members {
 		_, _ = net.Recv(mb.ID())
-		mb.mach.Abort(lockstepSID)
 	}
 }
 

@@ -22,13 +22,17 @@ func RunJoin(net netsim.Medium, members []*Member, joiner *Member) error {
 		return errors.New("core: join needs an existing group of >= 2")
 	}
 	for _, mb := range members {
-		if mb.Session() == nil || mb.Session().Key == nil {
+		if mb.committed() == nil {
 			return errNoSession
 		}
 	}
 	roster := rosterOf(members)
 	all := append(append([]*Member{}, members...), joiner)
-	return runFlowFatal(net, all, func(mb *Member) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartJoin(lockstepSID, lockstepBase, roster, joiner.ID())
+	return runFlowFatal(net, all, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
+		base := mb.sid
+		if mb == joiner {
+			base = "" // the joiner holds no group to extend
+		}
+		return mb.mach.StartJoin(sid, base, roster, joiner.ID())
 	}, "join")
 }

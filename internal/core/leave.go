@@ -28,10 +28,11 @@ func RunPartition(net netsim.Medium, members []*Member, leavers []string) error 
 	// joined since the last full keying holds no τ) must refresh too.
 	stale := map[string]bool{}
 	for _, mb := range members {
-		if mb.Session() == nil || mb.Session().Key == nil {
+		g := mb.committed()
+		if g == nil {
 			return errNoSession
 		}
-		if mb.Session().Tau == nil {
+		if g.Tau == nil {
 			stale[mb.ID()] = true
 		}
 	}
@@ -49,7 +50,7 @@ func RunPartition(net netsim.Medium, members []*Member, leavers []string) error 
 			remain = append(remain, mb)
 		}
 	}
-	return runFlowRetrying(net, remain, func(mb *Member) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartPartition(lockstepSID, lockstepBase, newRoster, refresh)
+	return runFlowRetrying(net, remain, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mb.mach.StartPartition(sid, mb.sid, newRoster, refresh)
 	}, "partition")
 }

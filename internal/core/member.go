@@ -10,11 +10,13 @@
 // flow on every machine and then pump delivered messages between them
 // over a netsim.Medium until every machine commits, running per-member
 // computation concurrently (one goroutine per member, as the nodes would
-// compute in the field). The engine meters every operation the paper's
-// complexity analysis charges and emits byte-identical wire traffic in
-// this lockstep mode, so the Tables 1–5 reproduction is unaffected by the
-// refactor. Event-driven deployments (cmd/gkanet, the idgka.Session API,
-// netsim's async mode) drive the same engine without these orchestrators.
+// compute in the field). Each run is one engine session; the drivers
+// strip its session envelope before a payload reaches the medium, so the
+// medium carries — and meters — exactly the paper's messages, and the
+// engine meters every operation the paper's complexity analysis charges:
+// the Tables 1–5 reproduction reads both. Event-driven deployments
+// (cmd/gkanet, the idgka.Session API, netsim's async mode) drive the same
+// engine without these orchestrators.
 package core
 
 import (
@@ -55,6 +57,10 @@ type Session = engine.Group
 type Member struct {
 	cfg  Config
 	mach *engine.Machine
+	// sid names the member's committed group in its machine's registry —
+	// the session of its last establishment, and the base of its next
+	// dynamic flow ("" before the first).
+	sid string
 }
 
 // NewMember constructs a participant from its extracted GQ identity key.
@@ -91,6 +97,20 @@ func (mb *Member) Machine() *engine.Machine { return mb.mach }
 // Session returns the member's current session (nil before the initial
 // GKA completes).
 func (mb *Member) Session() *Session { return mb.mach.Group() }
+
+// committed returns the group the member's next dynamic flow re-keys, or
+// nil before its first establishment.
+func (mb *Member) committed() *Session { return mb.mach.Session(mb.sid) }
+
+// commit makes the group established under sid the member's committed
+// group, releasing the superseded one so the machine keeps a single
+// registry entry.
+func (mb *Member) commit(sid string) {
+	if mb.sid != "" && mb.sid != sid {
+		mb.mach.Release(mb.sid)
+	}
+	mb.sid = sid
+}
 
 // Key returns the current group key, or nil.
 func (mb *Member) Key() *big.Int { return mb.mach.Key() }

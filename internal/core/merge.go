@@ -17,15 +17,15 @@ func RunMerge(net netsim.Medium, groupA, groupB []*Member) error {
 		return errors.New("core: merge needs two groups of >= 2")
 	}
 	for _, mb := range append(append([]*Member{}, groupA...), groupB...) {
-		if mb.Session() == nil || mb.Session().Key == nil {
+		if mb.committed() == nil {
 			return errNoSession
 		}
 	}
 	rosterA := rosterOf(groupA)
 	rosterB := rosterOf(groupB)
 	all := append(append([]*Member{}, groupA...), groupB...)
-	return runFlowFatal(net, all, func(mb *Member) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartMerge(lockstepSID, lockstepBase, rosterA, rosterB)
+	return runFlowFatal(net, all, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mb.mach.StartMerge(sid, mb.sid, rosterA, rosterB)
 	}, "merge")
 }
 

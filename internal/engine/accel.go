@@ -50,8 +50,9 @@ type AccelConfig struct {
 }
 
 // pool is a bounded worker pool for independent verification tasks. A nil
-// *pool runs tasks sequentially with fail-fast semantics — the exact
-// legacy control flow — so call sites never branch on the accel mode.
+// *pool runs tasks sequentially with fail-fast semantics — the control
+// flow of straight-line code — so call sites never branch on the accel
+// mode.
 type pool struct {
 	sem chan struct{}
 }

@@ -24,8 +24,7 @@ type confirmFlow struct {
 }
 
 // StartConfirm begins key confirmation over the committed session named
-// by base (empty base selects the machine's most recently committed
-// group, for single-group lockstep drivers).
+// by base.
 func (mc *Machine) StartConfirm(sid, base string) ([]Outbound, []Event, error) {
 	g, err := mc.baseGroup(base)
 	if err != nil {
@@ -78,11 +77,11 @@ func (f *confirmFlow) deliver(msg *netsim.Message) error {
 	return nil
 }
 
-func (f *confirmFlow) advance() ([]Outbound, []Event, error) {
-	var outs []Outbound
+func (f *confirmFlow) advance() ([]draft, []Event, error) {
+	var outs []draft
 	if !f.started {
 		payload := wire.NewBuffer().PutString(f.mc.id).PutBytes(f.digest(f.mc.id)).Bytes()
-		outs = append(outs, Outbound{Type: MsgConfirm, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, draft{Type: MsgConfirm, Payload: payload})
 		f.started = true
 	}
 	if len(f.got) == f.g.Size()-1 {

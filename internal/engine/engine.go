@@ -13,21 +13,15 @@
 // sessions are all tolerated. Messages for sessions that have not been
 // started yet are buffered and replayed when the flow starts.
 //
-// Two wire modes exist:
-//
-//   - Enveloped (sid != ""): every payload is prefixed with the session id
-//     and an attempt counter, so one machine can demultiplex any number of
-//     concurrent sessions. This is the mode for real deployments
-//     (cmd/gkanet, the idgka.Session public API, the netsim async mode).
-//   - Legacy (sid == ""): payloads are exactly the seed's lockstep wire
-//     format with no prefix, at most one flow is active at a time, and the
-//     internal/core Run* drivers pump the machine synchronously. This keeps
-//     the paper-comparable byte accounting identical to the original
-//     lockstep implementation.
-//
-// Every operation the paper's complexity analysis charges is metered at
-// the same points as the lockstep code, so Tables 1–5 and the energy model
-// are unaffected by the execution mode.
+// Every payload on the wire is prefixed with an envelope — the session
+// id and an attempt counter — so one machine can demultiplex any number
+// of concurrent sessions. Every operation the paper's complexity analysis
+// charges is metered at the paper's points, so Tables 1–5 and the energy
+// model do not depend on who drives the machine: the internal/core
+// lockstep drivers strip the envelope before a payload reaches their
+// medium and restore it on delivery, keeping the paper-comparable byte
+// accounting exact, while real deployments (cmd/gkanet, the idgka.Session
+// public API, the netsim async mode) carry it on the wire.
 //
 // Concurrency model: any number of flows may run concurrently on one
 // machine, and one machine may serve any number of independent groups.
@@ -36,12 +30,8 @@
 // StartConfirm name their base group explicitly — they snapshot the
 // registry entry at Start (so a concurrent commit cannot switch keys
 // under an in-flight flow) and commit the re-keyed group back under the
-// flow's own session id. An empty base selects the machine's most
-// recently committed group, the single-group model the legacy lockstep
-// drivers use. The two wire modes are mutually exclusive while flows are
-// in flight: starting a legacy flow while enveloped flows are active (or
-// vice versa) is rejected, because legacy mode routes ALL inbound traffic
-// raw into its one flow and would corrupt concurrent enveloped sessions.
+// flow's own session id. Only the joiner of a Join, which holds no group
+// yet, starts without a base.
 package engine
 
 import (
@@ -127,15 +117,25 @@ func (c Config) Retries() int {
 	return c.MaxRetries
 }
 
-// Outbound is one message a machine wants delivered. An empty To means
-// broadcast. StateLen marks the trailing bytes of the payload that carry
-// session-state transfer (metered separately from protocol traffic). SID
-// names the session the outbound belongs to — the same id already carried
-// in the payload envelope, surfaced so routing layers can hand the message
-// to the owning session handle without parsing the payload; it is empty in
-// legacy wire mode and never serialized.
+// Outbound is one message a machine wants delivered: an enveloped
+// payload. An empty To means broadcast. StateLen marks the trailing bytes
+// of the payload that carry session-state transfer (metered separately
+// from protocol traffic). SID names the session the outbound belongs to —
+// the same id already carried in the payload envelope, surfaced so
+// routing layers can hand the message to the owning session handle
+// without parsing the payload; it is never serialized. wrapOuts is the
+// only constructor.
 type Outbound struct {
 	SID      string
+	To       string
+	Type     string
+	Payload  []byte
+	StateLen int
+}
+
+// draft is one message as a flow emits it, before wrapOuts envelopes it
+// under the flow's session; its fields mean what Outbound's do.
+type draft struct {
 	To       string
 	Type     string
 	Payload  []byte
@@ -203,8 +203,8 @@ func (e retryErr) Error() string {
 }
 func (e retryErr) Unwrap() error { return e.cause }
 
-// ErrNoSession is returned by dynamic flows started before an initial
-// establishment.
+// ErrNoSession is returned by dynamic flows whose base names no
+// committed group.
 var ErrNoSession = errors.New("engine: member has no established session")
 
 // Retryable wraps err as a retryable protocol failure.
@@ -225,7 +225,7 @@ func IsRetryable(err error) bool {
 // on yet is recorded and acted on by a later advance.
 type flow interface {
 	deliver(msg *netsim.Message) error
-	advance() ([]Outbound, []Event, error)
+	advance() ([]draft, []Event, error)
 }
 
 // runningFlow tracks one active flow keyed by session id.
@@ -260,18 +260,13 @@ type Machine struct {
 	gvCache map[string]*gq.GroupVerifier
 
 	// group is the most recently committed group view (nil before the
-	// first establishment). Lockstep drivers and single-group applications
-	// read it directly; multi-session applications use Session(sid).
+	// first establishment). Single-group applications read it directly;
+	// flows name their base through Session(sid).
 	group *Group
 
-	// legacy is the single active flow in legacy wire mode. While it is
-	// non-nil every inbound message routes to it raw; otherwise messages
-	// are treated as enveloped (unparseable ones are dropped, unknown
-	// sessions buffered).
-	legacy *runningFlow
-	// flows holds active enveloped flows by session id.
+	// flows holds active flows by session id.
 	flows map[string]*runningFlow
-	// sessions holds committed groups by session id (enveloped mode).
+	// sessions holds committed groups by session id.
 	sessions map[string]*Group
 	// finished records the last attempt of completed sessions so straggler
 	// messages are dropped rather than buffered forever.
@@ -371,21 +366,16 @@ func (mc *Machine) Group() *Group { return mc.group }
 func (mc *Machine) Session(sid string) *Group { return mc.sessions[sid] }
 
 // baseGroup resolves the committed group a dynamic flow re-keys: the
-// registry entry of the named base session, or — when base is empty —
-// the machine's most recently committed group (the single-group model of
-// the legacy lockstep drivers). The returned group is the flow's
-// snapshot: a concurrent commit replaces the registry entry but cannot
-// switch keys under an in-flight flow.
+// registry entry of the named base session. The returned group is the
+// flow's snapshot: a concurrent commit replaces the registry entry but
+// cannot switch keys under an in-flight flow.
 func (mc *Machine) baseGroup(base string) (*Group, error) {
-	g := mc.group
-	if base != "" {
-		g = mc.sessions[base]
+	if base == "" {
+		return nil, fmt.Errorf("%w (empty base session id)", ErrNoSession)
 	}
+	g := mc.sessions[base]
 	if g == nil || g.Key == nil {
-		if base != "" {
-			return nil, fmt.Errorf("%w (no committed group under base session %q)", ErrNoSession, base)
-		}
-		return nil, ErrNoSession
+		return nil, fmt.Errorf("%w (no committed group under base session %q)", ErrNoSession, base)
 	}
 	return g, nil
 }
@@ -401,51 +391,31 @@ func (mc *Machine) Key() *big.Int {
 // start registers a new flow, runs its opening transitions, and replays
 // any buffered early messages for the session.
 func (mc *Machine) start(sid string, f flow) ([]Outbound, []Event, error) {
-	rf := &runningFlow{sid: sid, f: f}
 	if sid == "" {
-		if mc.legacy != nil && !mc.legacy.done && !mc.legacy.failed {
-			return nil, nil, errors.New("engine: a legacy flow is already active")
-		}
-		// Legacy mode feeds ALL inbound traffic raw into its one flow, so
-		// an active enveloped flow would be starved of its messages (and
-		// the legacy flow fed envelope bytes it cannot parse). Buffered
-		// early enveloped traffic marks sessions peers have already
-		// started, whose follow-up messages the legacy flow would consume.
-		if len(mc.flows) > 0 {
-			return nil, nil, fmt.Errorf("engine: cannot start a legacy flow while %d enveloped flow(s) are active", len(mc.flows))
-		}
-		if mc.earlyCount > 0 {
-			return nil, nil, fmt.Errorf("engine: cannot start a legacy flow with %d buffered enveloped message(s) pending", mc.earlyCount)
-		}
-		mc.legacy = rf
-	} else {
-		if mc.legacy != nil && !mc.legacy.done && !mc.legacy.failed {
-			return nil, nil, fmt.Errorf("engine: cannot start enveloped flow %q while a legacy flow is active", sid)
-		}
-		if old := mc.flows[sid]; old != nil {
-			rf.attempt = old.attempt + 1
-		} else if last, ok := mc.finished[sid]; ok {
-			rf.attempt = last + 1
-		}
-		mc.flows[sid] = rf
-		delete(mc.finished, sid)
+		return nil, nil, errors.New("engine: session id must be non-empty")
 	}
+	rf := &runningFlow{sid: sid, f: f}
+	if old := mc.flows[sid]; old != nil {
+		rf.attempt = old.attempt + 1
+	} else if last, ok := mc.finished[sid]; ok {
+		rf.attempt = last + 1
+	}
+	mc.flows[sid] = rf
+	delete(mc.finished, sid)
 	outs, evts := mc.dispatch(rf, nil)
 	// Replay buffered early messages of this attempt; keep later attempts
 	// buffered and drop stale ones.
-	if sid != "" {
-		pending := mc.early[sid]
-		delete(mc.early, sid)
-		mc.earlyCount -= len(pending)
-		for i := range pending {
-			switch {
-			case pending[i].attempt == rf.attempt:
-				o, e := mc.dispatch(rf, &pending[i].msg)
-				outs = append(outs, o...)
-				evts = append(evts, e...)
-			case pending[i].attempt > rf.attempt:
-				mc.bufferEarly(sid, pending[i].msg, pending[i].attempt)
-			}
+	pending := mc.early[sid]
+	delete(mc.early, sid)
+	mc.earlyCount -= len(pending)
+	for i := range pending {
+		switch {
+		case pending[i].attempt == rf.attempt:
+			o, e := mc.dispatch(rf, &pending[i].msg)
+			outs = append(outs, o...)
+			evts = append(evts, e...)
+		case pending[i].attempt > rf.attempt:
+			mc.bufferEarly(sid, pending[i].msg, pending[i].attempt)
 		}
 	}
 	return mc.wrapOuts(rf, outs), evts, nil
@@ -453,7 +423,7 @@ func (mc *Machine) start(sid string, f flow) ([]Outbound, []Event, error) {
 
 // dispatch feeds one message (nil = pure advance) into a flow and
 // post-processes completions and failures.
-func (mc *Machine) dispatch(rf *runningFlow, msg *netsim.Message) ([]Outbound, []Event) {
+func (mc *Machine) dispatch(rf *runningFlow, msg *netsim.Message) ([]draft, []Event) {
 	if rf.done || rf.failed {
 		return nil, nil
 	}
@@ -473,9 +443,7 @@ func (mc *Machine) dispatch(rf *runningFlow, msg *netsim.Message) ([]Outbound, [
 			rf.done = true
 			mc.group = evts[i].Group
 			mc.closeFlow(rf)
-			if rf.sid != "" {
-				mc.sessions[rf.sid] = evts[i].Group
-			}
+			mc.sessions[rf.sid] = evts[i].Group
 		case EventConfirmed:
 			rf.done = true
 			mc.closeFlow(rf)
@@ -501,12 +469,6 @@ const maxFinishedRecords = 4096
 
 // closeFlow retires a completed flow.
 func (mc *Machine) closeFlow(rf *runningFlow) {
-	if rf.sid == "" {
-		if mc.legacy == rf {
-			mc.legacy = nil
-		}
-		return
-	}
 	if mc.flows[rf.sid] == rf {
 		delete(mc.flows, rf.sid)
 		mc.recordFinished(rf.sid, rf.attempt)
@@ -553,12 +515,7 @@ func (mc *Machine) ActiveFlow(sid string) bool {
 // between retransmission attempts. The aborted attempt number is
 // retired, so a subsequent Start of the same session id uses a fresh
 // attempt and in-flight traffic of the aborted run cannot poison it.
-// Aborting the legacy flow uses sid "".
 func (mc *Machine) Abort(sid string) {
-	if sid == "" {
-		mc.legacy = nil
-		return
-	}
 	if rf, ok := mc.flows[sid]; ok {
 		if last, fin := mc.finished[sid]; !fin || rf.attempt > last {
 			mc.recordFinished(sid, rf.attempt)
@@ -569,23 +526,36 @@ func (mc *Machine) Abort(sid string) {
 	delete(mc.early, sid)
 }
 
-// wrapOuts prefixes outbound payloads with the session envelope when the
-// flow runs in enveloped mode.
-func (mc *Machine) wrapOuts(rf *runningFlow, outs []Outbound) []Outbound {
-	if rf.sid == "" {
-		return outs
+// Envelope returns the prefix every payload of one attempt of a session
+// carries on the wire: the session id and the attempt number.
+func Envelope(sid string, attempt uint64) []byte {
+	return wire.NewBuffer().PutString(sid).PutUint(attempt).Bytes()
+}
+
+// wrapOuts turns a flow's drafts into Outbounds, prefixing every payload
+// with the flow's Envelope.
+func (mc *Machine) wrapOuts(rf *runningFlow, drafts []draft) []Outbound {
+	if len(drafts) == 0 {
+		return nil
 	}
-	for i := range outs {
-		env := wire.NewBuffer().PutString(rf.sid).PutUint(rf.attempt).Bytes()
-		outs[i].Payload = append(env, outs[i].Payload...)
-		outs[i].SID = rf.sid
+	env := Envelope(rf.sid, rf.attempt)
+	outs := make([]Outbound, len(drafts))
+	for i, d := range drafts {
+		payload := make([]byte, 0, len(env)+len(d.Payload))
+		outs[i] = Outbound{
+			SID:      rf.sid,
+			To:       d.To,
+			Type:     d.Type,
+			Payload:  append(append(payload, env...), d.Payload...),
+			StateLen: d.StateLen,
+		}
 	}
 	return outs
 }
 
 // EnvelopeSID peeks the session id out of an enveloped payload without
-// consuming it, or "" for legacy-mode and non-engine payloads. Serve
-// layers use it to map an inbound packet to the session it can complete.
+// consuming it, or "" for non-engine payloads. Serve layers use it to
+// map an inbound packet to the session it can complete.
 func EnvelopeSID(payload []byte) string {
 	r := wire.NewReader(payload)
 	sid := r.String()
@@ -602,14 +572,9 @@ func EnvelopeSID(payload []byte) string {
 func (mc *Machine) Step(msg netsim.Message) ([]Outbound, []Event) {
 	if msg.Type == netsim.TypePeerDown {
 		// Control traffic from a failure-aware medium, not a protocol
-		// message: intercept before flow routing (a legacy flow would be
-		// fed bytes it cannot parse) and surface it as a lifecycle event.
+		// message: it carries no envelope, so intercept it before flow
+		// routing and surface it as a lifecycle event.
 		return nil, []Event{{Kind: EventPeerDown, Peer: msg.From}}
-	}
-	if mc.legacy != nil {
-		rf := mc.legacy
-		outs, evts := mc.dispatch(rf, &msg)
-		return mc.wrapOuts(rf, outs), evts
 	}
 	r := wire.NewReader(msg.Payload)
 	sid := r.String()

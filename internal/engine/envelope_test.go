@@ -33,17 +33,6 @@ func TestOutboundSIDAndEnvelopePeek(t *testing.T) {
 		t.Fatalf("EnvelopeSID on garbage = %q, want empty", got)
 	}
 
-	// Legacy mode wraps nothing: SID stays empty.
-	legacy := buildNodes(t, roster)
-	louts, _, err := legacy["env-01"].mc.StartInitial("", roster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range louts {
-		if o.SID != "" {
-			t.Fatalf("legacy Outbound.SID = %q, want empty", o.SID)
-		}
-	}
 }
 
 // TestBufferedAndAbort: early traffic for an unstarted session is

@@ -41,25 +41,25 @@ func (mc *Machine) StartInitial(sid string, roster []string) ([]Outbound, []Even
 
 // begin draws the member's fresh keying material and returns the encoded
 // round-1 broadcast m_i = U_i ‖ z_i ‖ t_i.
-func (f *initialFlow) begin() (Outbound, error) {
+func (f *initialFlow) begin() (draft, error) {
 	mc := f.mc
 	sg := mc.cfg.Set.Schnorr
 	r, err := mathx.RandScalar(mc.cfg.rand(), sg.Q)
 	if err != nil {
-		return Outbound{}, fmt.Errorf("engine: round1: %w", err)
+		return draft{}, fmt.Errorf("engine: round1: %w", err)
 	}
 	z := sg.Exp(r)
 	mc.m.Exp(1)
 	tau, t, err := gq.Commitment(mc.cfg.rand(), gq.ParamsFrom(mc.cfg.Set.RSA))
 	if err != nil {
-		return Outbound{}, err
+		return draft{}, err
 	}
 	f.ring.r = r
 	f.ring.tau = tau
 	f.ring.z[mc.id] = z
 	f.ring.t[mc.id] = t
 	payload := wire.NewBuffer().PutString(mc.id).PutBig(z).PutBig(t).Bytes()
-	return Outbound{Type: MsgRound1, Payload: payload}, nil //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+	return draft{Type: MsgRound1, Payload: payload}, nil
 }
 
 func (f *initialFlow) deliver(msg *netsim.Message) error {
@@ -107,8 +107,8 @@ func (f *initialFlow) recordRound1(msg *netsim.Message) error {
 	return nil
 }
 
-func (f *initialFlow) advance() ([]Outbound, []Event, error) {
-	var outs []Outbound
+func (f *initialFlow) advance() ([]draft, []Event, error) {
+	var outs []draft
 	if !f.started {
 		out, err := f.begin()
 		if err != nil {
@@ -127,7 +127,7 @@ func (f *initialFlow) advance() ([]Outbound, []Event, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			outs = append(outs, Outbound{Type: MsgRound2, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+			outs = append(outs, draft{Type: MsgRound2, Payload: payload})
 			f.emittedR2 = true
 		}
 	}

@@ -61,9 +61,8 @@ type joinFlow struct {
 // StartJoin begins the three-round Join protocol admitting joiner into the
 // group whose current ring is oldRoster. Every existing member and the
 // joiner itself start the same flow; the joiner needs no established
-// session, everyone else names the committed session being extended via
-// base (empty base selects the machine's most recently committed group,
-// for single-group lockstep drivers). The new group commits under the
+// session and passes an empty base, everyone else names the committed
+// session being extended via base. The new group commits under the
 // flow's sid.
 func (mc *Machine) StartJoin(sid, base string, oldRoster []string, joiner string) ([]Outbound, []Event, error) {
 	if len(oldRoster) < 2 {
@@ -193,7 +192,7 @@ func (f *joinFlow) verifyM1() error {
 	return nil
 }
 
-func (f *joinFlow) advance() ([]Outbound, []Event, error) {
+func (f *joinFlow) advance() ([]draft, []Event, error) {
 	switch f.role {
 	case jrJoiner:
 		return f.advanceJoiner()
@@ -208,10 +207,10 @@ func (f *joinFlow) advance() ([]Outbound, []Event, error) {
 
 // advanceJoiner: broadcast m_{n+1}; on m”_n verify σ'_n and derive the DH
 // key; on m”'_n unwrap K* and commit.
-func (f *joinFlow) advanceJoiner() ([]Outbound, []Event, error) {
+func (f *joinFlow) advanceJoiner() ([]draft, []Event, error) {
 	mc := f.mc
 	sg := mc.cfg.Set.Schnorr
-	var outs []Outbound
+	var outs []draft
 	if !f.started {
 		r, err := mathx.RandScalar(mc.cfg.rand(), sg.Q)
 		if err != nil {
@@ -227,7 +226,7 @@ func (f *joinFlow) advanceJoiner() ([]Outbound, []Event, error) {
 		}
 		mc.m.SignGen(meter.SchemeGQ, 1)
 		payload := wire.NewBuffer().PutString(mc.id).PutBig(f.zJoin).PutBig(sig.S).PutBig(sig.C).Bytes()
-		outs = append(outs, Outbound{Type: MsgJoin1, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, draft{Type: MsgJoin1, Payload: payload})
 		f.started = true
 	}
 	if f.haveLast && f.kDH == nil {
@@ -273,11 +272,11 @@ func (f *joinFlow) advanceJoiner() ([]Outbound, []Event, error) {
 // advanceController: on m_{n+1} verify, fold the key into K* with a fresh
 // r'_1 (equation 5) and broadcast E_K(K*‖U_1); on m”_n unwrap K_DH and
 // commit.
-func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
+func (f *joinFlow) advanceController() ([]draft, []Event, error) {
 	mc := f.mc
 	sg := mc.cfg.Set.Schnorr
 	g := f.base
-	var outs []Outbound
+	var outs []draft
 	if f.haveM1 && !f.sentCtl {
 		if err := f.verifyM1(); err != nil {
 			return nil, nil, err
@@ -316,7 +315,7 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 		f.rPrime = rPrime
 		f.kStar = kStar
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(wrapped).Bytes()
-		outs = append(outs, Outbound{Type: MsgJoinCtl, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, draft{Type: MsgJoinCtl, Payload: payload})
 		f.sentCtl = true
 	}
 	if f.haveLast && f.kDHDec == nil {
@@ -341,10 +340,10 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 // advanceLast: on m_{n+1} verify and broadcast the wrapped DH key; on m'_1
 // unwrap K*, re-wrap it under the DH key, forward it to the joiner with
 // the session state tables, and commit.
-func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
+func (f *joinFlow) advanceLast() ([]draft, []Event, error) {
 	mc := f.mc
 	g := f.base
-	var outs []Outbound
+	var outs []draft
 	if f.haveM1 && !f.sentLast {
 		if err := f.verifyM1(); err != nil {
 			return nil, nil, err
@@ -373,7 +372,7 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 		mc.m.SignGen(meter.SchemeGQ, 1)
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(wrappedDH).PutBig(znOwn).
 			PutBig(sig.S).PutBig(sig.C).Bytes()
-		outs = append(outs, Outbound{Type: MsgJoinLast, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, draft{Type: MsgJoinLast, Payload: payload})
 		f.sentLast = true
 	}
 	if f.wrapStar != nil && f.kDH != nil && !f.sentFwd {
@@ -401,7 +400,7 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 		tables := encodeStateTables(g)
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(fwd).Bytes()
 		payload = append(payload, tables...)
-		outs = append(outs, Outbound{To: f.joiner, Type: MsgJoinFwd, Payload: payload, StateLen: len(tables)}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, draft{To: f.joiner, Type: MsgJoinFwd, Payload: payload, StateLen: len(tables)})
 		f.sentFwd = true
 		ng := f.commit(f.kStar, f.kDH, g.R)
 		return outs, []Event{{Kind: EventEstablished, Group: ng}}, nil
@@ -412,7 +411,7 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 // advanceOrdinary: decrypt both broadcasts under the old group key and
 // commit. The joiner's z is read (unverified, per the paper's op counts)
 // from its round-1 broadcast.
-func (f *joinFlow) advanceOrdinary() ([]Outbound, []Event, error) {
+func (f *joinFlow) advanceOrdinary() ([]draft, []Event, error) {
 	mc := f.mc
 	if !f.haveM1 || f.wrapStar == nil || !f.haveLast {
 		return nil, nil, nil

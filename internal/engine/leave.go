@@ -88,9 +88,8 @@ type leaveFlow struct {
 // newRoster. refresh lists the members drawing fresh exponents (normally
 // engine.PlanPartition output); every participant must be started with the
 // same roster and refresh list. base names the committed session being
-// contracted (empty base selects the machine's most recently committed
-// group, for single-group lockstep drivers); it must cover the contracted
-// ring. The re-keyed group commits under the flow's sid.
+// contracted; it must cover the contracted ring. The re-keyed group
+// commits under the flow's sid.
 func (mc *Machine) StartPartition(sid, base string, newRoster, refresh []string) ([]Outbound, []Event, error) {
 	g, err := mc.baseGroup(base)
 	if err != nil {
@@ -132,7 +131,7 @@ func (mc *Machine) StartPartition(sid, base string, newRoster, refresh []string)
 // begin seeds the contracted-ring view from the committed session, draws
 // fresh material when this member refreshes, and emits the round-1
 // broadcast when this member is a sender.
-func (f *leaveFlow) begin() ([]Outbound, error) {
+func (f *leaveFlow) begin() ([]draft, error) {
 	mc := f.mc
 	g := f.base
 	refreshing := f.refreshers[mc.id]
@@ -175,7 +174,7 @@ func (f *leaveFlow) begin() ([]Outbound, error) {
 	f.ring.tau = tau
 	f.ring.t[mc.id] = t
 	payload := wire.NewBuffer().PutString(mc.id).PutBig(zNew).PutBig(t).Bytes()
-	return []Outbound{{Type: MsgLeave1, Payload: payload}}, nil //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+	return []draft{{Type: MsgLeave1, Payload: payload}}, nil
 }
 
 func (f *leaveFlow) deliver(msg *netsim.Message) error {
@@ -235,8 +234,8 @@ func (f *leaveFlow) round1Done() bool {
 	return true
 }
 
-func (f *leaveFlow) advance() ([]Outbound, []Event, error) {
-	var outs []Outbound
+func (f *leaveFlow) advance() ([]draft, []Event, error) {
+	var outs []draft
 	if !f.started {
 		o, err := f.begin()
 		if err != nil {
@@ -261,7 +260,7 @@ func (f *leaveFlow) advance() ([]Outbound, []Event, error) {
 			if err != nil {
 				return outs, nil, err
 			}
-			outs = append(outs, Outbound{Type: MsgLeave2, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+			outs = append(outs, draft{Type: MsgLeave2, Payload: payload})
 			f.emittedR2 = true
 		}
 	}

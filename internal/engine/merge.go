@@ -58,9 +58,8 @@ type mergeFlow struct {
 // StartMerge begins the three-round Merge fusing the groups with rings
 // rosterA and rosterB into a single keyed group with ring A‖B. Every
 // member of both groups starts the same flow with identical rosters; each
-// names its own ring's committed session via base (empty base selects the
-// machine's most recently committed group, for single-group lockstep
-// drivers). The merged group commits under the flow's sid.
+// names its own ring's committed session via base. The merged group
+// commits under the flow's sid.
 func (mc *Machine) StartMerge(sid, base string, rosterA, rosterB []string) ([]Outbound, []Event, error) {
 	if len(rosterA) < 2 || len(rosterB) < 2 {
 		return nil, nil, errors.New("engine: merge needs two groups of >= 2")
@@ -175,7 +174,7 @@ func (f *mergeFlow) deliver(msg *netsim.Message) error {
 	return nil
 }
 
-func (f *mergeFlow) advance() ([]Outbound, []Event, error) {
+func (f *mergeFlow) advance() ([]draft, []Event, error) {
 	if f.isCtl {
 		return f.advanceController()
 	}
@@ -187,11 +186,11 @@ func (f *mergeFlow) advance() ([]Outbound, []Event, error) {
 // the old group key and the cross-controller DH key; on the peer's round 2
 // unwrap the foreign K*, re-broadcast it under the own group key with the
 // session tables; commit once the peer's tables arrive.
-func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
+func (f *mergeFlow) advanceController() ([]draft, []Event, error) {
 	mc := f.mc
 	sg := mc.cfg.Set.Schnorr
 	g := f.base
-	var outs []Outbound
+	var outs []draft
 	if !f.started {
 		rNew, err := mathx.RandScalar(mc.cfg.rand(), sg.Q)
 		if err != nil {
@@ -210,7 +209,7 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		f.adverts[mc.id] = &mergeAdvert{zNew: zNew, zLast: zLast}
 		payload := wire.NewBuffer().PutString(mc.id).PutBig(zNew).PutBig(zLast).
 			PutBig(sig.S).PutBig(sig.C).Bytes()
-		outs = append(outs, Outbound{Type: MsgMerge1, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, draft{Type: MsgMerge1, Payload: payload})
 		f.started = true
 	}
 	if a := f.adverts[f.otherCtl]; a != nil && !f.sentR2 {
@@ -250,7 +249,7 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		}
 		mc.m.Sym(2, 0)
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(wrapGroup).PutBytes(wrapDH).Bytes()
-		outs = append(outs, Outbound{Type: MsgMerge2, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, draft{Type: MsgMerge2, Payload: payload})
 		f.sentR2 = true
 	}
 	if f.wrapDHPeer != nil && f.kDH != nil && !f.sentR3 {
@@ -279,7 +278,7 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		tables := encodeStateTables(g)
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(rewrapped).Bytes()
 		payload = append(payload, tables...)
-		outs = append(outs, Outbound{Type: MsgMerge3, Payload: payload, StateLen: len(tables)}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, draft{Type: MsgMerge3, Payload: payload, StateLen: len(tables)})
 		f.sentR3 = true
 	}
 	if f.kStarOwn != nil && f.kStarForeign != nil && f.tablesForeign != nil {
@@ -338,7 +337,7 @@ func (f *mergeFlow) foldOwnKey(a *mergeAdvert) (*big.Int, error) {
 // advanceOrdinary: unwrap the own-ring K* (round 2, own-group wrap) and
 // the foreign K* (round 3 rebroadcast by the own controller), then commit
 // once the foreign controller's tables and both adverts are in.
-func (f *mergeFlow) advanceOrdinary() ([]Outbound, []Event, error) {
+func (f *mergeFlow) advanceOrdinary() ([]draft, []Event, error) {
 	mc := f.mc
 	if f.wrapGroupOwn != nil && f.kStarOwn == nil {
 		cg, err := sym.NewFromBig(f.base.Key)

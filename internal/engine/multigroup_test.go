@@ -230,49 +230,65 @@ func step2(t *testing.T, nd *node, msg netsim.Message) []engine.Event {
 	return evts
 }
 
-// TestWireModeExclusion: a legacy (un-enveloped) flow routes ALL inbound
-// traffic raw into itself, so the machine must refuse to mix wire modes
-// while flows are in flight.
-func TestWireModeExclusion(t *testing.T) {
+// TestStartContract: every flow runs under a non-empty session id, and
+// every dynamic flow names the committed group it re-keys — only the
+// joiner of a Join, which holds no group yet, starts without a base.
+// Rejected starts register nothing.
+func TestStartContract(t *testing.T) {
 	ring := []string{"A", "B", "C"}
-	nodes := buildNodes(t, ring)
-	mc := nodes["A"].mc
-
-	// Enveloped flow active: starting a legacy flow must fail.
-	if _, _, err := mc.StartInitial("s", ring); err != nil {
+	all := append(append([]string(nil), ring...), "J")
+	nodes := buildNodes(t, all)
+	b := newBus(t, nodes, all)
+	for _, id := range ring {
+		b.start(id, func(mc *engine.Machine) ([]engine.Outbound, []engine.Event, error) {
+			return mc.StartInitial("g", ring)
+		})
+	}
+	b.pump()
+	newRoster, refresh, err := engine.PlanLeave(nodes["A"].mc.Session("g"), []string{"C"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := mc.StartInitial("", ring); err == nil {
-		t.Fatal("legacy flow started while an enveloped flow is active")
-	}
-	mc.Abort("s")
+	a := nodes["A"].mc
 
-	// Legacy flow active: starting an enveloped flow must fail.
-	if _, _, err := mc.StartInitial("", ring); err != nil {
-		t.Fatal(err)
+	starts := map[string]func(sid, base string) error{
+		"initial": func(sid, _ string) error { _, _, err := a.StartInitial(sid, ring); return err },
+		"join": func(sid, base string) error {
+			_, _, err := a.StartJoin(sid, base, ring, "J")
+			return err
+		},
+		"partition": func(sid, base string) error {
+			_, _, err := a.StartPartition(sid, base, newRoster, refresh)
+			return err
+		},
+		"merge": func(sid, base string) error {
+			_, _, err := a.StartMerge(sid, base, ring, []string{"M1", "M2"})
+			return err
+		},
+		"confirm": func(sid, base string) error { _, _, err := a.StartConfirm(sid, base); return err },
 	}
-	if _, _, err := mc.StartInitial("s2", ring); err == nil {
-		t.Fatal("enveloped flow started while a legacy flow is active")
+	for name, start := range starts {
+		if start("", "g") == nil {
+			t.Errorf("%s: empty session id accepted", name)
+		}
+		if name != "initial" && start("x-"+name, "") == nil {
+			t.Errorf("%s: empty base accepted from a group member", name)
+		}
+		if a.ActiveFlow("") || a.ActiveFlow("x-"+name) {
+			t.Errorf("%s: rejected start left a flow registered", name)
+		}
 	}
-	mc.Abort("")
-	if _, _, err := mc.StartInitial("s3", ring); err != nil {
-		t.Fatalf("enveloped flow rejected after legacy abort: %v", err)
-	}
-	mc.Abort("s3")
 
-	// Buffered early enveloped traffic (a session a peer already started)
-	// must also block a legacy start: its follow-up messages would be fed
-	// raw into the legacy flow.
-	env := wire.NewBuffer().PutString("s4").PutUint(0).PutString("B").Bytes()
-	if outs, _ := mc.Step(netsim.Message{From: "B", Type: engine.MsgRound1, Payload: env}); len(outs) != 0 {
-		t.Fatal("idle machine reacted to early traffic")
+	// The joiner holds no group and passes an empty base.
+	outs, _, err := nodes["J"].mc.StartJoin("j", "", ring, "J")
+	if err != nil {
+		t.Fatalf("joiner's empty base rejected: %v", err)
 	}
-	if _, _, err := mc.StartInitial("", ring); err == nil {
-		t.Fatal("legacy flow started over buffered enveloped traffic")
+	if len(outs) == 0 || outs[0].Type != engine.MsgJoin1 {
+		t.Fatalf("joiner opened with %v, want its %s broadcast", outs, engine.MsgJoin1)
 	}
-	mc.Abort("s4")
-	if _, _, err := mc.StartInitial("", ring); err != nil {
-		t.Fatalf("legacy flow rejected after buffer drained: %v", err)
+	if _, _, err := nodes["J"].mc.StartJoin("", "", ring, "J"); err == nil {
+		t.Fatal("joiner: empty session id accepted")
 	}
 }
 

@@ -177,7 +177,7 @@ func (rs *ringState) submitClaim(mc *Machine, bv BatchVerifier, responses []*big
 // The three checks only read their inputs (s values; the X values'
 // Montgomery images; the edge), so with an active worker pool they run
 // as concurrent tasks.
-// Sequentially the tasks run in the exact legacy order with fail-fast
+// Sequentially the tasks run in the order listed with fail-fast
 // semantics, keeping the lockstep drivers' operation accounting
 // bit-identical; in parallel mode a failing check no longer
 // short-circuits its siblings, so the failure path may charge the

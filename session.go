@@ -121,10 +121,10 @@ func (r *ingestResult) fire() {
 // ingestLocked folds machine reactions into member/session state; the
 // caller holds mb.mu. Outbound packets are routed to the handle owning
 // their session id — the stepping handle is only the fallback for flows
-// run outside the Session API (legacy wire mode has no envelope). With a
-// nil stepping handle (member-level HandlePacket), ALL outbounds are
-// returned in the result for the caller to transmit. Lifecycle events are
-// always routed to the handle owning their session id.
+// run outside the Session API. With a nil stepping handle (member-level
+// HandlePacket), ALL outbounds are returned in the result for the caller
+// to transmit. Lifecycle events are always routed to the handle owning
+// their session id.
 func (mb *Member) ingestLocked(stepping *Session, outs []engine.Outbound, evts []engine.Event) ingestResult {
 	var res ingestResult
 	for _, o := range outs {
@@ -136,7 +136,7 @@ func (mb *Member) ingestLocked(stepping *Session, outs []engine.Outbound, evts [
 			continue
 		}
 		target := stepping
-		if o.SID != "" && o.SID != target.sid {
+		if o.SID != target.sid {
 			if owner := mb.sessions[o.SID]; owner != nil {
 				// The reaction belongs to a different live session: append
 				// it to the OWNING handle's outbox. Leaving it on the
@@ -218,9 +218,6 @@ func (mb *Member) ingestLocked(stepping *Session, outs []engine.Outbound, evts [
 // transitions, unregistering again if the start is rejected.
 func (mb *Member) newHandle(sid string,
 	start func() ([]engine.Outbound, []engine.Event, error)) (*Session, error) {
-	if sid == "" {
-		return nil, errors.New("idgka: session id must be non-empty")
-	}
 	s := &Session{mb: mb, sid: sid, start: start}
 	mb.mu.Lock()
 	if mb.sessions == nil {
@@ -270,12 +267,6 @@ func (mb *Member) NewSession(sid string, roster []string) (*Session, error) {
 // extended group commits under sid, which becomes a valid base for later
 // dynamic sessions.
 func (mb *Member) JoinSession(sid, base string, oldRoster []string, joiner string) (*Session, error) {
-	if mb.ID() != joiner && base == "" {
-		// The base must be explicit: an empty base would fall back to the
-		// machine's most recently committed group — exactly the recency
-		// aliasing the per-session registry exists to prevent.
-		return nil, errors.New("idgka: JoinSession needs a base session id (only the joiner passes an empty base)")
-	}
 	return mb.newHandle(sid, func() ([]engine.Outbound, []engine.Event, error) {
 		// Snapshot the base ring under the member lock on the first start;
 		// restarts reuse the snapshot so a concurrent re-key cannot switch
@@ -298,9 +289,6 @@ func (mb *Member) JoinSession(sid, base string, oldRoster []string, joiner strin
 // deterministically from the base group's state, so all survivors agree
 // without a coordinator. The re-keyed group commits under sid.
 func (mb *Member) LeaveSession(sid, base string, leavers []string) (*Session, error) {
-	if base == "" {
-		return nil, errors.New("idgka: LeaveSession needs a base session id")
-	}
 	var newRoster, refresh []string
 	planned := false
 	return mb.newHandle(sid, func() ([]engine.Outbound, []engine.Event, error) {
@@ -328,9 +316,6 @@ func (mb *Member) LeaveSession(sid, base string, leavers []string) (*Session, er
 // the same flow with identical rosters, each naming its own ring's
 // committed session as base. The merged group commits under sid.
 func (mb *Member) MergeSession(sid, base string, rosterA, rosterB []string) (*Session, error) {
-	if base == "" {
-		return nil, errors.New("idgka: MergeSession needs a base session id")
-	}
 	return mb.newHandle(sid, func() ([]engine.Outbound, []engine.Event, error) {
 		return mb.inner.Machine().StartMerge(sid, base, rosterA, rosterB)
 	})
@@ -341,9 +326,6 @@ func (mb *Member) MergeSession(sid, base string, rosterA, rosterB []string) (*Se
 // H(key ‖ id ‖ roster) and checks every peer's digest. On success the
 // handle's Key and Roster report the confirmed group.
 func (mb *Member) ConfirmSession(sid, base string) (*Session, error) {
-	if base == "" {
-		return nil, errors.New("idgka: ConfirmSession needs a base session id")
-	}
 	return mb.newHandle(sid, func() ([]engine.Outbound, []engine.Event, error) {
 		return mb.inner.Machine().StartConfirm(sid, base)
 	})
