@@ -11,7 +11,6 @@
 //	gkabench -figure 1 -measured 50    # measure counters up to n=50
 //	gkabench -accel -parallel 4        # acceleration-layer benchmark, 4 workers
 //	gkabench -groups 64                # multi-group serve throughput ladder (1,4,16,64)
-//	gkabench -groups 64 -amortize      # same, settling GQ checks through the amortized verify queue
 //
 // With -json the command emits one JSON document on stdout: the runner
 // fingerprint (GOMAXPROCS, Go version, -parallel), the run parameters
@@ -79,30 +78,18 @@ func groupLadder(n int) []int {
 	return append(out, n)
 }
 
-// renderGroups formats the ladder as a text table. When the host's
-// amortized settlement queue was on, three verify-throughput columns show
-// the coalescing at work: total claims settled, the batches they were
-// folded into, and claims settled per second of settlement-lane busy time
-// (Stats.VerifyBusy — the lane's throughput, not a rung-wall-time rate).
-func renderGroups(stats []serve.GroupStat, amortize bool) string {
+// renderGroups formats the ladder as a text table.
+func renderGroups(stats []serve.GroupStat) string {
 	var b strings.Builder
 	if len(stats) > 0 {
-		fmt.Fprintf(&b, "Multi-group serve throughput (pool %d, ring %d, GOMAXPROCS %d, amortized verify %v)\n",
-			stats[0].Pool, stats[0].GroupSize, runtime.GOMAXPROCS(0), amortize)
+		fmt.Fprintf(&b, "Multi-group serve throughput (pool %d, ring %d, GOMAXPROCS %d)\n",
+			stats[0].Pool, stats[0].GroupSize, runtime.GOMAXPROCS(0))
 	}
-	fmt.Fprintf(&b, "%8s  %14s  %12s  %14s  %12s",
+	fmt.Fprintf(&b, "%8s  %14s  %12s  %14s  %12s\n",
 		"groups", "establish/s", "est ms", "rekey/s", "rekey ms")
-	if amortize {
-		fmt.Fprintf(&b, "  %8s  %8s  %10s", "claims", "batches", "verify/s")
-	}
-	b.WriteByte('\n')
 	for _, s := range stats {
-		fmt.Fprintf(&b, "%8d  %14.1f  %12.1f  %14.1f  %12.1f",
+		fmt.Fprintf(&b, "%8d  %14.1f  %12.1f  %14.1f  %12.1f\n",
 			s.Groups, s.EstablishPerSec, s.EstablishMS, s.RekeyPerSec, s.RekeyMS)
-		if amortize {
-			fmt.Fprintf(&b, "  %8d  %8d  %10.1f", s.VerifyClaims, s.VerifyBatches, s.VerifyPerSec)
-		}
-		b.WriteByte('\n')
 	}
 	return strings.TrimRight(b.String(), "\n")
 }
@@ -120,7 +107,6 @@ func main() {
 	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
 	accel := flag.Bool("accel", false, "run the crypto acceleration-layer benchmark (tracked by the CI bench gate)")
 	groups := flag.Int("groups", 0, "multi-group serve-layer throughput ladder up to N concurrent groups (0 = skip)")
-	amortize := flag.Bool("amortize", false, "with -groups: settle GQ checks through the host's amortized verify queue")
 	parallel := flag.Int("parallel", 0, "worker-pool size for accelerated runs (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON document on stdout")
 	flag.Parse()
@@ -199,15 +185,14 @@ func main() {
 	if *groups > 0 {
 		run(fmt.Sprintf("Multi-group serve throughput (up to %d groups)", *groups), func() (string, error) {
 			stats, err := serve.BenchmarkGroups(groupLadder(*groups), serve.BenchOptions{
-				Accel:          *accel,
-				Workers:        workers,
-				AmortizeVerify: *amortize,
+				Accel:   *accel,
+				Workers: workers,
 			})
 			if err != nil {
 				return "", err
 			}
 			doc.MultiGroup = stats
-			return renderGroups(stats, *amortize), nil
+			return renderGroups(stats), nil
 		})
 	}
 	if *all || *ablations {

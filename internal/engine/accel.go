@@ -1,23 +1,6 @@
 package engine
 
-import (
-	"sync"
-
-	"idgka/internal/sigs/gq"
-)
-
-// BatchVerifier lets a host amortize the engine's GQ batch checks across
-// groups: when AccelConfig.BatchVerifier is set, the finish phase folds
-// the round's responses into an algebraic claim (using a per-roster
-// cached identity product, so nothing is re-hashed per round) and
-// submits it instead of verifying in-line. The host coalesces claims
-// from many concurrent groups and settles them together
-// (internal/serve's verify queue, gq.VerifyClaimsRLC). VerifyClaim may
-// block while a batch coalesces; it must return nil exactly when the
-// claim holds, so verdicts match the in-line path.
-type BatchVerifier interface {
-	VerifyClaim(*gq.Claim) error
-}
+import "sync"
 
 // AccelConfig tunes the crypto acceleration layer under a machine's hot
 // path. The zero value disables everything, which keeps the engine's
@@ -27,7 +10,8 @@ type BatchVerifier interface {
 // bit-identical with any combination of knobs. The keying arithmetic
 // itself has one path for every configuration: round 2 keeps the edge
 // power z_prev^r and the key is assembled in the Montgomery domain
-// (bdkey.KeyFromEdgeMont).
+// (bdkey.KeyFromEdgeMont), and the GQ batch check (equation 2) always
+// runs in-line in the finish phase.
 type AccelConfig struct {
 	// Precompute builds windowed fixed-base tables at machine creation —
 	// for the Schnorr generator (every z_i = g^r broadcast) and the
@@ -43,10 +27,6 @@ type AccelConfig struct {
 	// Lemma 1, key computation) run as parallel tasks. 0 or 1 selects
 	// the exact sequential path.
 	VerifyWorkers int
-	// BatchVerifier, when non-nil, defers the finish-phase GQ batch check
-	// to a host-level claim queue (see the interface doc). Verdicts,
-	// keys and meters are identical to the in-line check.
-	BatchVerifier BatchVerifier
 }
 
 // pool is a bounded worker pool for independent verification tasks. A nil

@@ -70,7 +70,7 @@ const (
 // maxClaimBuilders bounds a machine's per-roster claim-builder cache. A
 // member of a standing group sees a handful of rosters per membership
 // change, so this comfortably covers every roster still in use; evicting
-// one only costs a re-hash of its identities on the next claim.
+// one only costs a re-hash of its identities on its next check.
 const maxClaimBuilders = 256
 
 // maxEarlyBuffer bounds the number of messages buffered for sessions that
@@ -314,7 +314,7 @@ func NewMachine(cfg Config, sk *gq.PrivateKey, m *meter.Meter) (*Machine, error)
 }
 
 // claimBuilder returns the cached claim builder for a roster — the GQ
-// batch check of every finish phase, in-line or deferred — constructing
+// batch check of every finish phase runs on it — constructing
 // it (identity digests, their product, its inverse — no fixed-base
 // table) on first use. The cache is keyed by the roster as a set: the
 // identity product does not depend on ring order, so a reordered ring
@@ -343,14 +343,6 @@ func (mc *Machine) claimBuilder(roster []string) (*gq.GroupVerifier, error) {
 	}
 	mc.gvCache[key] = gv
 	return gv, nil
-}
-
-// SetBatchVerifier installs (or, with nil, clears) the host-level claim
-// verifier the finish phase defers its GQ batch checks to. The caller
-// must serialize it with flow processing (idgka.Member holds its machine
-// lock); in-flight flows pick the new verifier up at their next finish.
-func (mc *Machine) SetBatchVerifier(bv BatchVerifier) {
-	mc.cfg.Accel.BatchVerifier = bv
 }
 
 // ID returns the member's identity.

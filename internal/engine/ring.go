@@ -153,26 +153,11 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	return wire.NewBuffer().PutString(mc.id).PutBig(x).PutBig(s).Bytes(), nil
 }
 
-// submitClaim folds the round's responses into an algebraic batch-
-// verification claim — using the machine's per-roster cached identity
-// product, so nothing is re-hashed per round — and hands it to the host
-// verifier, blocking until the host settles the batch it lands in.
-func (rs *ringState) submitClaim(mc *Machine, bv BatchVerifier, responses []*big.Int) error {
-	gv, err := mc.claimBuilder(rs.roster)
-	if err != nil {
-		return err
-	}
-	claim, err := gv.NewClaim(responses, rs.c, rs.bigT)
-	if err != nil {
-		return err
-	}
-	return bv.VerifyClaim(claim)
-}
-
 // finish performs the Authentication and Key Computation phase: one batch
 // verification of all GQ responses (equation 2), the Lemma-1 product check
 // on the X values, and the BD key computation (equation 3), returning the
-// committed group view.
+// committed group view. Every check runs in-line on the caller's
+// goroutine or the machine's worker pool; Step never waits on a host.
 //
 // The three checks only read their inputs (s values; the X values'
 // Montgomery images; the edge), so with an active worker pool they run
@@ -202,21 +187,12 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	var key *big.Int
 	err = mc.pool.Run(
 		// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z), checked
-		// through the per-roster cached claim builder (no per-round
-		// identity hashing or inversion). With a host batch verifier, the
-		// check is submitted as an algebraic claim (equivalent because
-		// this member derived c = H(T, Z) itself) and settles together
-		// with other groups' claims; the verdict and the meter charge are
-		// the same either way.
+		// in-line through the per-roster cached verifier (no per-round
+		// identity hashing or inversion).
 		func() error {
-			var err error
-			if bv := mc.cfg.Accel.BatchVerifier; bv != nil {
-				err = rs.submitClaim(mc, bv, responses)
-			} else {
-				var gv *gq.GroupVerifier
-				if gv, err = mc.claimBuilder(rs.roster); err == nil {
-					err = gv.BatchVerify(responses, rs.c, rs.bigZ)
-				}
+			gv, err := mc.claimBuilder(rs.roster)
+			if err == nil {
+				err = gv.BatchVerify(responses, rs.c, rs.bigZ)
 			}
 			mc.m.SignVer(meter.SchemeGQ, 1)
 			if err != nil {

@@ -38,11 +38,6 @@ const AccelGroupSize = 16
 // real weight next to the exponentiations.
 const accelBatchSize = 64
 
-// amortizeGroups is the claim count of the serve/amortized-verify row:
-// how many concurrent groups' GQ settlements one random-linear-combination
-// check coalesces.
-const amortizeGroups = 16
-
 // measure times one operation: it warms once, then takes the MINIMUM
 // per-op time over several sampling rounds. The minimum is the stable
 // statistic under scheduler noise (interruptions only ever inflate a
@@ -163,12 +158,12 @@ func (e *Env) AccelBench(n, workers int) (string, map[string]OpStat, error) {
 		measure(func() { mo.FromMont(mo.ExpElem(mo.ToMont(mulX), r0)) }))
 
 	// Montgomery-domain variable-base multi-exponentiation: the product
-	// Π b_i^{e_i} that RLC claim settlement and batch verification reduce
-	// to. Serial is one big.Exp per base plus the running product; the
-	// accelerated side converts into the Montgomery domain, runs the
-	// interleaved sliding-window MultiExpElem (one shared squaring chain
-	// across all exponents), and converts back — conversions inside the
-	// timed region.
+	// Π b_i^{e_i} that batch verification reduces to. Serial is one
+	// big.Exp per base plus the running product; the accelerated side
+	// converts into the Montgomery domain, runs the interleaved
+	// sliding-window MultiExpElem (one shared squaring chain across all
+	// exponents), and converts back — conversions inside the timed
+	// region.
 	const multiExpBases = 8
 	meBases := make([]*big.Int, multiExpBases)
 	meExps := make([]*big.Int, multiExpBases)
@@ -248,30 +243,6 @@ func (e *Env) AccelBench(n, workers int) (string, map[string]OpStat, error) {
 			}
 		}))
 
-	// Host-level amortized claim settlement: J concurrent groups' GQ
-	// checks, individually versus coalesced into one random-linear-
-	// combination equation (the serve.Host AmortizeVerify path). Both
-	// sides settle all J claims per measured op, so the ratio is the
-	// per-claim amortization factor at this batch size; it keeps growing
-	// with the number of concurrently keying groups.
-	claims, err := e.accelClaims(amortizeGroups, 4)
-	if err != nil {
-		return "", nil, err
-	}
-	add("serve/amortized-verify",
-		measure(func() {
-			for _, cl := range claims {
-				if err := cl.Verify(); err != nil {
-					panic(err)
-				}
-			}
-		}),
-		measure(func() {
-			if err := gq.VerifyClaimsRLC(rand.Reader, claims); err != nil {
-				panic(err)
-			}
-		}))
-
 	// EC fixed-base scalar multiplication (ECDSA baseline substrate).
 	curve := ec.Secp160r1()
 	curve.Precompute()
@@ -318,7 +289,6 @@ func (e *Env) AccelBench(n, workers int) (string, map[string]OpStat, error) {
 		"gq/respond",
 		"bd/key-assembly",
 		"gq/batch-verify",
-		"serve/amortized-verify",
 		"ec/scalar-base-mult",
 		"pairing/scalar-base-mult",
 	}
@@ -344,8 +314,6 @@ func (e *Env) AccelBench(n, workers int) (string, map[string]OpStat, error) {
 	fmt.Fprintf(&b, "(bd/key-assembly's accelerated side is the edge-carrying restructure: the z_{i-1}^{r_i} power moves\n"+
 		" into round 2 — where it is paid, see member-pipeline — so the finish folds eq. 3 in the Montgomery\n"+
 		" domain with no full-width exponentiation)\n")
-	fmt.Fprintf(&b, "(serve/amortized-verify = %d concurrent groups' GQ settlements, individually vs one RLC check;\n"+
-		" the per-claim saving keeps growing with the number of concurrently keying groups)\n", amortizeGroups)
 	return b.String(), ops, nil
 }
 
@@ -409,51 +377,6 @@ func (e *Env) accelBatch(n int) (pub gq.Params, ids []string, responses []*big.I
 	return pub, ids, responses, c, z, nil
 }
 
-// accelClaims builds j settlement claims, one per synthetic group of the
-// given size, the way serve.Host's verify queue would see them: each
-// group's claim comes from its own roster, challenge and commitment
-// product, built through the engine's cached claim-builder path.
-func (e *Env) accelClaims(j, size int) ([]*gq.Claim, error) {
-	pub := gq.ParamsFrom(e.Set.Public().RSA)
-	claims := make([]*gq.Claim, 0, j)
-	for g := 0; g < j; g++ {
-		ids := make([]string, size)
-		taus := make([]*big.Int, size)
-		ts := make([]*big.Int, size)
-		var err error
-		for i := 0; i < size; i++ {
-			ids[i] = fmt.Sprintf("G%02d-M%02d", g, i)
-			if taus[i], ts[i], err = gq.Commitment(rand.Reader, pub); err != nil {
-				return nil, err
-			}
-		}
-		bigT := mathx.ProductMod(ts, pub.N)
-		z, err := mathx.RandUnit(rand.Reader, pub.N)
-		if err != nil {
-			return nil, err
-		}
-		c := gq.GroupChallenge(bigT, z)
-		responses := make([]*big.Int, size)
-		for i := range ids {
-			sk, err := e.PKG.ExtractGQ(ids[i])
-			if err != nil {
-				return nil, err
-			}
-			responses[i] = sk.Respond(taus[i], c)
-		}
-		gv, err := gq.NewClaimBuilder(pub, ids)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := gv.NewClaim(responses, c, bigT)
-		if err != nil {
-			return nil, err
-		}
-		claims = append(claims, cl)
-	}
-	return claims, nil
-}
-
 // accelInitialFlow times the member-side work of the initial flow for an
 // n-member group at two scopes. "Key computation" is the keying material
 // every member contributes — z_i = g^{r_i}, GQ commitment t_i = τ_i^e
@@ -510,7 +433,7 @@ func (e *Env) accelInitialFlow(n, workers int, gTab *mathx.FixedBaseTable) (cont
 		new(big.Int).Exp(taus[i], pub.E, pub.N)
 		fastKeys[i].Respond(taus[i], c)
 	}
-	// One GQ settlement batch shared by the pipeline measurement: in the
+	// One GQ batch shared by the pipeline measurement: in the
 	// finish phase every member checks equation 2 over the whole ring's
 	// responses. The serial side re-derives the roster's identity-hash
 	// product on every check (the paper path); the accelerated side uses

@@ -28,7 +28,6 @@ func TestAccelBenchShape(t *testing.T) {
 		"gq/respond",
 		"bd/key-assembly",
 		"gq/batch-verify",
-		"serve/amortized-verify",
 		"ec/scalar-base-mult",
 		"pairing/scalar-base-mult",
 	}

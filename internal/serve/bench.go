@@ -21,15 +21,6 @@ type GroupStat struct {
 	EstablishPerSec float64 `json:"establish_per_sec"`
 	RekeyMS         float64 `json:"rekey_ms"`
 	RekeyPerSec     float64 `json:"rekey_per_sec"`
-	// Amortized-verify telemetry (zero unless BenchOptions.AmortizeVerify):
-	// how many GQ claims the settlement queue checked, in how many
-	// coalesced batches, and the lane's throughput — claims divided by
-	// the wall time the queue actually spent checking. Claims/batch above
-	// 1 is cross-group amortization at work, and VerifyPerSec rises with
-	// it as the RLC check spreads its cost over more claims.
-	VerifyClaims  uint64  `json:"verify_claims,omitempty"`
-	VerifyBatches uint64  `json:"verify_batches,omitempty"`
-	VerifyPerSec  float64 `json:"verify_per_sec,omitempty"`
 }
 
 // BenchOptions tunes BenchmarkGroups. The zero value selects a pool of 8
@@ -40,11 +31,6 @@ type BenchOptions struct {
 	Shards    int  // host dispatch lanes
 	Accel     bool // enable fixed-base precomputation + verify workers
 	Workers   int  // verify-worker pool per member when Accel (0 = 4)
-	// AmortizeVerify turns on the host's claim settlement queue
-	// (Config.AmortizeVerify). Shards defaults to the pool size in this
-	// mode, so members parked on a settling batch never starve other
-	// members' traffic of a dispatch lane.
-	AmortizeVerify bool
 }
 
 func (o BenchOptions) pool() int {
@@ -197,13 +183,9 @@ func BenchmarkGroups(counts []int, opt BenchOptions) ([]GroupStat, error) {
 	}
 
 	var stats []GroupStat
-	shards := opt.Shards
-	if opt.AmortizeVerify && shards == 0 {
-		shards = pool
-	}
 	for _, n := range counts {
 		lb := &loopback{}
-		host := NewHost(Config{Shards: shards, Deadline: 30 * time.Second, AmortizeVerify: opt.AmortizeVerify}, lb.tx)
+		host := NewHost(Config{Shards: opt.Shards, Deadline: 30 * time.Second}, lb.tx)
 		lb.setHost(host)
 		for _, id := range ids {
 			mb, err := auth.NewMemberWithConfig(id, idgka.Config{
@@ -270,10 +252,9 @@ func BenchmarkGroups(counts []int, opt BenchOptions) ([]GroupStat, error) {
 			return nil, err
 		}
 		rekeyElapsed := time.Since(t1)
-		hostStats := host.Stats()
 		host.Close()
 
-		gs := GroupStat{
+		stats = append(stats, GroupStat{
 			Groups:          n,
 			GroupSize:       size,
 			Pool:            pool,
@@ -281,13 +262,7 @@ func BenchmarkGroups(counts []int, opt BenchOptions) ([]GroupStat, error) {
 			EstablishPerSec: float64(n) / estElapsed.Seconds(),
 			RekeyMS:         float64(rekeyElapsed.Microseconds()) / 1000,
 			RekeyPerSec:     float64(n) / rekeyElapsed.Seconds(),
-		}
-		if opt.AmortizeVerify && hostStats.VerifyBusy > 0 {
-			gs.VerifyClaims = hostStats.VerifyClaims
-			gs.VerifyBatches = hostStats.VerifyBatches
-			gs.VerifyPerSec = float64(hostStats.VerifyClaims) / hostStats.VerifyBusy.Seconds()
-		}
-		stats = append(stats, gs)
+		})
 	}
 	return stats, nil
 }

@@ -1,9 +1,12 @@
 // Amortized batch verification: the per-membership GroupVerifier caches
 // everything about a signer set that BatchVerify recomputes on every call
-// (identity digests, their product and its inverse, optionally with a
-// fixed-base table for the inverse), and the Claim/VerifyClaimsRLC pair
-// lets a host defer many groups' batch checks and settle them with one
-// random-linear-combination equation per wakeup.
+// (identity digests, their product and its inverse), so the engine's
+// in-line check of equation (2) costs one response product and one
+// multi-exponentiation per round. The fixed-base table of
+// NewGroupVerifier and the Claim/VerifyClaimsRLC pair (deferred claims
+// settled by one random-linear-combination equation) have no production
+// caller: the in-line check costs less per claim than the combined one,
+// so no host defers its checks. The benchmarks time them as primitives.
 
 package gq
 
@@ -44,7 +47,10 @@ type GroupVerifier struct {
 	hInvTab *mathx.FixedBaseTable
 }
 
-// NewGroupVerifier builds the cached context for a signer set.
+// NewGroupVerifier builds the cached context for a signer set, with a
+// fixed-base table for the inverse. No production path calls it (the
+// benchmarks time it); the engine builds its verifiers with
+// NewClaimBuilder.
 func NewGroupVerifier(pub Params, ids []string) (*GroupVerifier, error) {
 	gv, err := NewClaimBuilder(pub, ids)
 	if err != nil {
@@ -57,10 +63,9 @@ func NewGroupVerifier(pub Params, ids []string) (*GroupVerifier, error) {
 }
 
 // NewClaimBuilder is NewGroupVerifier without the fixed-base table: the
-// right shape when the membership only emits claims or checks a round
-// now and then, costing one identity-product hash and one inversion
-// instead of a full table build. BatchVerify folds the cached inverse
-// into its multi-exponentiation instead of walking a table.
+// engine's per-roster verifier, costing one identity-product hash and one
+// inversion instead of a full table build. BatchVerify folds the cached
+// inverse into its multi-exponentiation instead of walking a table.
 func NewClaimBuilder(pub Params, ids []string) (*GroupVerifier, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("gq: empty signer set")
@@ -134,7 +139,8 @@ func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error 
 // derived c = H(T, Z) itself — as the protocol's round 2 does — the
 // algebraic form is equivalent to the hash check of equation (2) up to
 // hash collisions, and unlike the hash form it is linear, so many claims
-// can be settled together (VerifyClaimsRLC).
+// can be settled together (VerifyClaimsRLC). No production path builds
+// claims; the engine checks equation (2) in-line.
 type Claim struct {
 	Pub   Params
 	SProd *big.Int // Π s_i mod n
@@ -149,7 +155,8 @@ type Claim struct {
 
 // NewClaim builds a claim against the verifier's cached signer set —
 // identity digests, their product and its inverse all come from the
-// cache, so a round's claim costs only the response product.
+// cache, so a round's claim costs only the response product. No
+// production path calls it.
 func (gv *GroupVerifier) NewClaim(responses []*big.Int, c, t *big.Int) (*Claim, error) {
 	if err := gv.checkResponses(responses); err != nil {
 		return nil, err
@@ -223,7 +230,9 @@ func (cl *Claim) Verify() error {
 // amortized check is as sound as the individual one against anyone who
 // cannot already forge at will. If the combined equation fails, every
 // claim in that partition is re-checked individually and the first
-// failing claim's error is returned — no false rejections, ever.
+// failing claim's error is returned — no false rejections, ever. No
+// production path calls it: per claim it costs more than the engine's
+// in-line GroupVerifier.BatchVerify.
 func VerifyClaimsRLC(rnd io.Reader, claims []*Claim) error {
 	for _, cl := range claims {
 		if err := cl.validate(); err != nil {

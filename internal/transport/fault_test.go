@@ -114,18 +114,39 @@ func TestDeadPeerUnblocksSender(t *testing.T) {
 		t.Fatal("sender still wedged after the peer died")
 	}
 	// The message reached the healthy recipient, and both survivors got
-	// the peer-down notice.
-	msgs, err := r.RecvWait("b")
-	if err != nil {
-		t.Fatal(err)
+	// the peer-down notice. The broadcast and the notice can land in b's
+	// inbox on separate wakeups, so keep receiving until both are in or
+	// the deadline passes.
+	type recv struct {
+		msgs []netsim.Message
+		err  error
 	}
+	inbox := make(chan recv, 1)
+	deadline := time.After(10 * time.Second)
+	var msgs []netsim.Message
 	var gotMsg, gotDown bool
-	for _, m := range msgs {
-		switch {
-		case m.Type == "t" && m.From == "a":
-			gotMsg = true
-		case m.Type == netsim.TypePeerDown && m.From == "z":
-			gotDown = true
+wait:
+	for !gotMsg || !gotDown {
+		go func() {
+			m, err := r.RecvWait("b")
+			inbox <- recv{m, err}
+		}()
+		select {
+		case got := <-inbox:
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			msgs = append(msgs, got.msgs...)
+		case <-deadline:
+			break wait
+		}
+		for _, m := range msgs {
+			switch {
+			case m.Type == "t" && m.From == "a":
+				gotMsg = true
+			case m.Type == netsim.TypePeerDown && m.From == "z":
+				gotDown = true
+			}
 		}
 	}
 	if !gotMsg || !gotDown {

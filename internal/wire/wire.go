@@ -87,7 +87,7 @@ func (r *Reader) Bytes() []byte {
 	}
 	n := int(binary.BigEndian.Uint32(r.b[r.off:]))
 	r.off += 4
-	if n < 0 || r.off+n > len(r.b) {
+	if n < 0 || n > len(r.b)-r.off { // not r.off+n: it overflows a 32-bit int
 		r.fail()
 		return nil
 	}
@@ -99,10 +99,16 @@ func (r *Reader) Bytes() []byte {
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
 
-// Big reads a length-prefixed big integer.
+// Big reads a length-prefixed big integer. Only the minimal magnitude
+// PutBig writes is accepted: a leading zero byte fails the read, so every
+// value has exactly one encoding.
 func (r *Reader) Big() *big.Int {
 	p := r.Bytes()
 	if r.err != nil {
+		return nil
+	}
+	if len(p) > 0 && p[0] == 0 {
+		r.err = errors.New("wire: non-minimal big integer")
 		return nil
 	}
 	return new(big.Int).SetBytes(p)

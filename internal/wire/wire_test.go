@@ -108,3 +108,16 @@ func TestLen(t *testing.T) {
 		t.Fatalf("Len = %d, want 6", b.Len())
 	}
 }
+
+// TestNonMinimalBigRejected: a magnitude with a leading zero byte decodes
+// to the same value as the minimal one, so the reader refuses it — every
+// value has exactly one accepted encoding.
+func TestNonMinimalBigRejected(t *testing.T) {
+	r := NewReader([]byte{0, 0, 0, 2, 0, 7})
+	if v := r.Big(); v != nil || r.Err() == nil {
+		t.Fatalf("non-minimal big accepted as %v", v)
+	}
+	if err := r.Close(); err == nil {
+		t.Fatal("Close accepted a non-minimal big")
+	}
+}
